@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import statistics
 import sys
 import warnings
@@ -90,9 +91,16 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    """A bare integer N means seeds 0..N-1; a comma list is explicit."""
+    """A bare integer N means seeds 0..N-1; a comma list is explicit
+    and must name at least one seed, each once."""
     if "," in text:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        seeds = [int(part) for part in text.split(",") if part.strip() != ""]
+        if not seeds:
+            raise CliSemanticError(f"seed list {text!r} names no seed")
+        repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+        if repeated:
+            raise CliSemanticError(f"seeds listed more than once: {repeated}")
+        return seeds
     count = int(text)
     if count <= 0:
         raise CliSemanticError(f"seed count must be positive, got {count}")
@@ -157,7 +165,21 @@ def load_policy(path: str | Path) -> QTable:
         raise RmFormatError(f"{path}: unexpected policy header {header}")
     q: QTable = {}
     for row in rows:
-        q[int(row[0])] = [float(v) for v in row[1:]]
+        if len(row) != len(expected):
+            raise RmFormatError(
+                f"{path}: policy row {row[0]!r} has {len(row)} fields, "
+                f"expected {len(expected)}"
+            )
+        try:
+            key = int(row[0])
+            values = [float(v) for v in row[1:]]
+        except ValueError as exc:
+            raise RmFormatError(f"{path}: policy row {row[0]!r}: {exc}") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise RmFormatError(f"{path}: policy row {key} has non-finite values")
+        if key in q:
+            raise RmFormatError(f"{path}: policy key {key} appears twice")
+        q[key] = values
     return q
 
 
@@ -426,7 +448,37 @@ def _final_metrics_from_curve(path: Path) -> tuple[float, float] | None:
     if header != CURVE_HEADER or not rows:
         return None
     last = rows[-1]
-    return float(last[2]), float(last[3])
+    if len(last) != len(CURVE_HEADER):
+        raise RmFormatError(
+            f"{path}: last curve row has {len(last)} fields, expected {len(CURVE_HEADER)}"
+        )
+    try:
+        return float(last[2]), float(last[3])
+    except ValueError as exc:
+        raise RmFormatError(f"{path}: last curve row: {exc}") from exc
+
+
+def _read_manifest(path: Path) -> dict:
+    """A run manifest with the fields ``compare`` reads, or RmFormatError."""
+    doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise RmFormatError(f"{path}: manifest root must be an object")
+    missing = sorted({"gait", "wrapper", "seeds", "files"} - set(doc))
+    if missing:
+        raise RmFormatError(f"{path}: manifest lacks fields {missing}")
+    seeds = doc["seeds"]
+    if not isinstance(seeds, list) or not all(
+        isinstance(s, int) and not isinstance(s, bool) for s in seeds
+    ):
+        raise RmFormatError(f"{path}: manifest 'seeds' must be a list of integers")
+    curves = doc["files"].get("curves") if isinstance(doc["files"], dict) else None
+    if not isinstance(curves, dict) or not all(
+        isinstance(curves.get(str(s)), str) for s in seeds
+    ):
+        raise RmFormatError(
+            f"{path}: manifest 'files.curves' must name a curve file per seed"
+        )
+    return doc
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -440,7 +492,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     rows = []
     for manifest_path in manifests:
-        doc = json.loads(manifest_path.read_text())
+        doc = _read_manifest(manifest_path)
         run_dir = manifest_path.parent
         finals = []
         missing = 0

@@ -18,8 +18,10 @@ Dynamics per step:
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 from .guards import ALL_LABEL_SETS, LabelSet, PROP_ORDER
@@ -46,6 +48,24 @@ class FootState:
     phase: FootPhase
 
 
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
+
+
+def check_field_types(config) -> None:
+    """Raise TypeError unless every field of the config dataclass holds
+    its declared type: an int for ``int``, an int or float for
+    ``float``, a bool for ``bool``. A bool is never taken as a number.
+    Raise ValueError for a ``float`` field that is NaN or infinite."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if not isinstance(value, _FIELD_TYPES[field.type]) or (
+            isinstance(value, bool) and field.type != "bool"
+        ):
+            raise TypeError(f"{field.name} must be {field.type}, got {value!r}")
+        if field.type == "float" and not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class ToyEnvConfig:
     clearance: float = 0.05
@@ -57,6 +77,7 @@ class ToyEnvConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.clearance <= 0.0:
             raise InvalidConfigError(f"clearance must be > 0, got {self.clearance}")
         if self.lift_height < self.clearance:

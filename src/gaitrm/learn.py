@@ -11,12 +11,13 @@ during training) and mean distance travelled.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, Union
 
-from .env import label
+from .env import check_field_types, label
 from .machine import Gait, RewardMachine, RmState, transition_table
 from .wrappers import (
     CrossProductObservation,
@@ -45,6 +46,7 @@ class LearnerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 < self.gamma < 1.0:
@@ -327,6 +329,91 @@ def evaluate(
     )
 
 
+@dataclass(frozen=True, slots=True)
+class StepTable:
+    """A wrapper's time-free core compiled into flat tuples.
+
+    A core state is what the wrapper's step outcome depends on besides
+    the action: contact code, ``fallen``, and the machine state or
+    milestone latch; stack3's frame history is left out. Entry
+    ``state * NUM_ACTIONS + action`` holds the step's next core state,
+    reward, ``terminated`` flag and the discretized observation key.
+    State 0 is the reset state. Truncation is left to the caller, which
+    counts episode steps.
+
+    For stack3 the key entry is the newest frame's share ``256 * code``
+    and the full key follows ``key >> 4`` plus that share, which is
+    ``discretize`` of the shifted stack (``stacked`` is set).
+    """
+
+    next_state: tuple[int, ...]
+    reward: tuple[float, ...]
+    terminated: tuple[bool, ...]
+    key: tuple[int, ...]
+    initial_key: int
+    stacked: bool
+
+
+def _time_free(snap: tuple, kind: WrapperKind) -> tuple:
+    """A wrapper snapshot with its time-dependent parts zeroed: step
+    count and base position, and stack3's frame history."""
+    env_state, *rest = snap
+    core = dataclasses.replace(env_state, base_x=0.0, prev_base_x=0.0, step_count=0)
+    if kind is WrapperKind.STACK3:
+        rest[-1] = (0, 0, 0)
+    return (core, *rest)
+
+
+def _compile_steps(wrapper: GaitEnvWrapper) -> StepTable:
+    """Build the step table of every core state reachable from reset by
+    stepping ``wrapper`` itself from restored core snapshots. Rows of
+    core states that only terminating steps reach are never read and
+    hold ``None``."""
+    kind = wrapper.kind
+    initial_key = discretize(wrapper.reset(), kind)
+    cores = [_time_free(wrapper.snapshot(), kind)]
+    index = {cores[0]: 0}
+    rows: dict[int, list[tuple[int, float, bool, int]]] = {}
+    frontier = [0]
+    while frontier:
+        state = frontier.pop()
+        row = rows[state] = []
+        for action in range(NUM_ACTIONS):
+            wrapper.restore(cores[state])
+            obs, reward, terminated, _, _ = wrapper.step(action)
+            core = _time_free(wrapper.snapshot(), kind)
+            nxt = index.get(core)
+            if nxt is None:
+                nxt = index[core] = len(cores)
+                cores.append(core)
+            if not terminated and nxt not in rows and nxt not in frontier:
+                frontier.append(nxt)
+            row.append((nxt, reward, terminated, discretize(obs, kind)))
+    dead = [(None, None, None, None)] * NUM_ACTIONS
+    flat = [entry for s in range(len(cores)) for entry in rows.get(s, dead)]
+    next_state, reward, terminated, key = zip(*flat)
+    return StepTable(
+        next_state, reward, terminated, key, initial_key, kind is WrapperKind.STACK3
+    )
+
+
+_STEP_TABLES: dict[tuple, StepTable] = {}
+_STEP_TABLES_MAX = 64
+
+
+def step_table(wrapper: GaitEnvWrapper) -> StepTable:
+    """The compiled step table for the wrapper's kind, environment
+    config, machine and reward params, built on a clone at first use
+    and cached in-process."""
+    cache_key = (type(wrapper), wrapper.config, wrapper.machine, wrapper.params)
+    table = _STEP_TABLES.get(cache_key)
+    if table is None:
+        if len(_STEP_TABLES) >= _STEP_TABLES_MAX:
+            del _STEP_TABLES[next(iter(_STEP_TABLES))]
+        table = _STEP_TABLES[cache_key] = _compile_steps(wrapper.clone())
+    return table
+
+
 def train(
     wrapper: GaitEnvWrapper,
     config: LearnerConfig,
@@ -334,34 +421,43 @@ def train(
 ) -> tuple[QTable, list[tuple[int, EvalMetrics]]]:
     """Epsilon-greedy tabular Q-learning on the wrapper's observations.
 
-    Returns the learned table and a curve of periodic greedy
-    evaluations. Fully determined by (config.seed, configs).
+    Steps run on the wrapper's compiled step table (see
+    ``step_table``), which reproduces ``wrapper.step`` exactly; the
+    wrapper itself is only cloned. Returns the learned table and a curve
+    of periodic greedy evaluations. Fully determined by (config.seed,
+    configs).
     """
     rng = random.Random(config.seed)
     q: QTable = {}
     eval_wrapper = wrapper.clone()
     curve: list[tuple[int, EvalMetrics]] = []
 
-    obs = wrapper.reset()
-    key = discretize(obs, wrapper.kind)
+    table = step_table(wrapper)
+    next_states, rewards, terminals, keys = (
+        table.next_state, table.reward, table.terminated, table.key
+    )
+    stacked = table.stacked
+    episode_length = wrapper.config.episode_length
+    state, key, episode_step = 0, table.initial_key, 0
     for t in range(config.total_steps):
         eps = epsilon_at(config, t)
         if rng.random() < eps:
             action = rng.randrange(NUM_ACTIONS)
         else:
             action = greedy_action(q, key)
-        obs, reward, terminated, truncated, _ = wrapper.step(action)
-        next_key = discretize(obs, wrapper.kind)
+        i = state * NUM_ACTIONS + action
+        terminated = terminals[i]
+        next_key = keys[i] + (key >> 4 if stacked else 0)
         # The task is continuing; the 100-action cutoff is a rollout
         # boundary, not a terminal state, so bootstrap across it.
         # Treating truncation as terminal makes cycle values depend on
         # the hidden time-to-cutoff and destabilizes the greedy policy.
-        q_update(q, key, action, reward, next_key, terminated, config)
-        if terminated or truncated:
-            obs = wrapper.reset()
-            key = discretize(obs, wrapper.kind)
+        q_update(q, key, action, rewards[i], next_key, terminated, config)
+        episode_step += 1
+        if terminated or episode_step >= episode_length:
+            state, key, episode_step = 0, table.initial_key, 0
         else:
-            key = next_key
+            state, key = next_states[i], next_key
         step_number = t + 1
         if step_number % config.eval_every == 0 or step_number == config.total_steps:
             metrics = evaluate(

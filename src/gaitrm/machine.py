@@ -83,8 +83,8 @@ class RewardParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.w_e < 0.0:
-            raise ValueError(f"energy weight must be >= 0, got {self.w_e}")
+        if not 0.0 <= self.w_e < math.inf:
+            raise ValueError(f"energy weight must be finite and >= 0, got {self.w_e}")
         if not math.isfinite(self.bonus_b):
             raise ValueError(f"bonus_b must be finite, got {self.bonus_b}")
 

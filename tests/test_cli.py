@@ -155,6 +155,41 @@ class TestTrain:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [({"env": {"episode_length": 2.5}}, "episode_length"),
+         ({"env": {"stumble_terminates": "no"}}, "stumble_terminates"),
+         ({"env": {"clearance": float("nan")}}, "clearance"),
+         ({"reward": {"w_e": float("nan")}}, "energy weight")],
+    )
+    def test_bad_config_value_is_semantic_error(self, capsys, tmp_path, doc, field):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        code, _, err = run(
+            capsys, "train", "--gait", "trot", "--wrapper", "naive",
+            "--seeds", "1", "--out", str(out), "--config", str(config), *TINY_TRAIN,
+        )
+        assert code == 2
+        assert field in err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "seeds, message", [("0,0", "more than once"), (",", "names no seed")]
+    )
+    def test_bad_seed_list_is_semantic_error(self, capsys, tmp_path, seeds, message):
+        out = tmp_path / "x"
+        code, _, err = run(
+            capsys, "train", "--gait", "trot", "--wrapper", "naive",
+            "--seeds", seeds, "--out", str(out), *TINY_TRAIN,
+        )
+        assert code == 2
+        assert message in err
+        assert not (out / "manifest.json").exists()
+
+
+POLICY_HEADER = "key," + ",".join(f"q{a}" for a in range(16))
+
 
 class TestEval:
     def test_reference_policy_metrics(self, capsys):
@@ -324,6 +359,51 @@ class TestCompare:
     def test_missing_directory_is_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "compare", str(tmp_path / "absent"))
         assert code == 1
+
+
+class TestMalformedInputs:
+    """Broken files exit 1 with a message naming the problem."""
+
+    def _eval(self, capsys, policy):
+        return run(
+            capsys, "eval", "--policy", str(policy), "--wrapper", "naive", "--gait", "trot",
+        )
+
+    @pytest.mark.parametrize("rows, message", [
+        (["0," + ",".join(["0.0"] * 15)], "16 fields, expected 17"),
+        (["0," + ",".join(["nan"] * 16)], "non-finite"),
+        (["0," + ",".join(["x"] * 16)], "could not convert"),
+        (["0," + ",".join(["0.0"] * 16)] * 2, "appears twice"),
+    ], ids=["short_row", "non_finite", "non_numeric", "duplicate_key"])
+    def test_malformed_policy_is_io_error(self, capsys, tmp_path, rows, message):
+        policy = tmp_path / "policy.csv"
+        policy.write_text("\n".join([POLICY_HEADER, *rows]) + "\n")
+        code, _, err = self._eval(capsys, policy)
+        assert code == 1
+        assert message in err
+
+    def _campaign(self, capsys, tmp_path) -> Path:
+        run(
+            capsys, "train", "--gait", "trot", "--wrapper", "naive",
+            "--seeds", "1", "--out", str(tmp_path / "naive"), *TINY_TRAIN,
+        )
+        return tmp_path / "naive"
+
+    def test_manifest_without_files_is_io_error(self, capsys, tmp_path):
+        manifest_path = self._campaign(capsys, tmp_path) / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["files"]
+        manifest_path.write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "compare", str(tmp_path))
+        assert code == 1
+        assert "files" in err
+
+    def test_truncated_curve_row_is_io_error(self, capsys, tmp_path):
+        curve = self._campaign(capsys, tmp_path) / "curve_seed0.csv"
+        curve.write_text(curve.read_text().rstrip("\n").rsplit(",", 1)[0] + "\n")
+        code, _, err = run(capsys, "compare", str(tmp_path))
+        assert code == 1
+        assert "curve_seed0.csv" in err
 
 
 class TestPolicyIo:

@@ -49,6 +49,26 @@ class TestConfig:
         with pytest.raises(InvalidConfigError):
             ToyEnvConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"episode_length": 2.5},
+        {"episode_length": True},
+        {"stumble_terminates": "no"},
+        {"stumble_terminates": 1},
+        {"clearance": True},
+        {"stride_gain": "0.05"},
+    ])
+    def test_mistyped_fields_rejected(self, kwargs):
+        with pytest.raises(TypeError):
+            ToyEnvConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_float_field_rejected(self, value):
+        with pytest.raises(ValueError):
+            ToyEnvConfig(lift_power_cost=value)
+
+    def test_int_accepted_for_float_field(self):
+        assert ToyEnvConfig(lift_power_cost=0).lift_power_cost == 0
+
 
 class TestReset:
     def test_initial_rest_pose(self):

@@ -331,6 +331,16 @@ class TestLearnerConfig:
         with pytest.raises(ValueError):
             LearnerConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"total_steps": 1000.0},
+        {"eval_every": True},
+        {"seed": "3"},
+        {"alpha": False},
+    ])
+    def test_mistyped_rejected(self, kwargs):
+        with pytest.raises(TypeError):
+            LearnerConfig(**kwargs)
+
     def test_defaults(self):
         config = LearnerConfig()
         assert config.alpha == 0.1

@@ -1,0 +1,137 @@
+"""The compiled step tables that ``train`` runs on, checked against the
+wrappers they are compiled from over the whole finite reachable space."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from gaitrm.env import ToyEnvConfig, ToyQuadrupedEnv
+from gaitrm.learn import (
+    NUM_ACTIONS,
+    LearnerConfig,
+    discretize,
+    epsilon_at,
+    greedy_action,
+    q_update,
+    step_table,
+    train,
+)
+from gaitrm.machine import Gait, build_gait_rm
+from gaitrm.wrappers import WrapperKind, make_wrapper
+
+CONFIGS = {
+    "default": ToyEnvConfig(),
+    "no_stumble_len7": ToyEnvConfig(stumble_terminates=False, episode_length=7),
+}
+
+
+def make(kind: WrapperKind, gait: Gait, config: ToyEnvConfig):
+    return make_wrapper(kind, ToyQuadrupedEnv(config), build_gait_rm(gait))
+
+
+def real_core(snap: tuple, kind: WrapperKind) -> tuple:
+    """Contact pattern, fallen flag and machine state or latch of a
+    wrapper snapshot; stack3's frame history is dropped."""
+    env_state, *rest = snap
+    if kind is WrapperKind.STACK3:
+        rest = rest[:-1]
+    return (env_state.feet, env_state.fallen, *rest)
+
+
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@pytest.mark.parametrize("gait", list(Gait), ids=lambda g: g.value)
+@pytest.mark.parametrize("kind", list(WrapperKind), ids=lambda k: k.value)
+def test_table_agrees_with_wrapper_step_on_every_reachable_state(kind, gait, config_name):
+    config = CONFIGS[config_name]
+    wrapper = make(kind, gait, config)
+    table = step_table(wrapper)
+    assert discretize(wrapper.reset(), kind) == table.initial_key
+
+    # Breadth-first over the wrapper's own reachable states, each paired
+    # with the table state the table says it is in.
+    start = real_core(wrapper.snapshot(), kind)
+    table_state_of = {start: 0}
+    frontier = [(wrapper.snapshot(), 0, table.initial_key, 0)]
+    compared = 0
+    while frontier:
+        snap, state, key, depth = frontier.pop(0)
+        for action in range(NUM_ACTIONS):
+            wrapper.restore(snap)
+            obs, reward, terminated, truncated, _ = wrapper.step(action)
+            i = state * NUM_ACTIONS + action
+            next_key = table.key[i] + (key >> 4 if table.stacked else 0)
+            assert (table.reward[i], table.terminated[i], next_key) == (
+                reward, terminated, discretize(obs, kind)
+            ), (state, action)
+            assert truncated == (depth + 1 >= config.episode_length)
+            compared += 1
+            core = real_core(wrapper.snapshot(), kind)
+            nxt = table.next_state[i]
+            if core in table_state_of:
+                assert table_state_of[core] == nxt, (core, action)
+            else:
+                table_state_of[core] = nxt
+                if not terminated:
+                    frontier.append((wrapper.snapshot(), nxt, next_key, depth + 1))
+
+    # Distinct cores map to distinct table states, and every table row
+    # that can be read belongs to a reachable state.
+    assert len(set(table_state_of.values())) == len(table_state_of)
+    n_states = len(table.next_state) // NUM_ACTIONS
+    live = {s for s in range(n_states) if table.next_state[s * NUM_ACTIONS] is not None}
+    assert compared == len(live) * NUM_ACTIONS
+    assert live <= set(table_state_of.values())
+    assert n_states <= 48
+
+
+def test_stack3_key_recurrence_equals_discretize_over_all_triples():
+    kind = WrapperKind.STACK3
+    for a in range(16):
+        for b in range(16):
+            for c in range(16):
+                key = discretize((a, b, c), kind)
+                for code in range(16):
+                    assert (key >> 4) + 256 * code == discretize((b, c, code), kind)
+
+
+def test_tables_are_cached_per_configuration():
+    rm = build_gait_rm(Gait.PACE)
+    config = ToyEnvConfig(episode_length=13)
+    naive = make_wrapper("naive", ToyQuadrupedEnv(config), rm)
+    stack3 = make_wrapper("stack3", ToyQuadrupedEnv(config), rm)
+    other = make_wrapper("naive", ToyQuadrupedEnv(ToyEnvConfig(stumble_terminates=False)), rm)
+    assert step_table(naive) is step_table(naive.clone())
+    assert step_table(naive) is not step_table(stack3)
+    assert step_table(naive) is not step_table(other)
+
+
+def train_by_stepping(wrapper, config: LearnerConfig):
+    """Q-learning that steps the wrapper itself: the definition the
+    table-driven ``train`` must reproduce bit for bit."""
+    rng = random.Random(config.seed)
+    q: dict = {}
+    key = discretize(wrapper.reset(), wrapper.kind)
+    for t in range(config.total_steps):
+        if rng.random() < epsilon_at(config, t):
+            action = rng.randrange(NUM_ACTIONS)
+        else:
+            action = greedy_action(q, key)
+        obs, reward, terminated, truncated, _ = wrapper.step(action)
+        next_key = discretize(obs, wrapper.kind)
+        q_update(q, key, action, reward, next_key, terminated, config)
+        if terminated or truncated:
+            key = discretize(wrapper.reset(), wrapper.kind)
+        else:
+            key = next_key
+    return q
+
+
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@pytest.mark.parametrize("kind", list(WrapperKind), ids=lambda k: k.value)
+def test_train_matches_stepping_the_wrapper(kind, config_name):
+    config = LearnerConfig(total_steps=3000, eval_every=3000, seed=5)
+    wrapper = make(kind, Gait.TROT, CONFIGS[config_name])
+    q, _ = train(wrapper.clone(), config)
+    assert q == train_by_stepping(wrapper, config)
