@@ -41,7 +41,7 @@ from .machine import (
     load_rm,
     validate,
 )
-from .wrappers import GaitEnvWrapper, WrapperKind, make_wrapper
+from .wrappers import WrapperKind, make_wrapper
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -139,23 +139,15 @@ def _load_run_configs(
 
 
 def _resolve_machine(
-    gait_name: str | None, params: RewardParams
+    gait_name: str | None, kind: WrapperKind, params: RewardParams
 ) -> tuple[Gait | None, RewardMachine | None]:
+    """The gait and its machine; every wrapper but no_gait needs one."""
     if gait_name is None:
+        if kind is not WrapperKind.NO_GAIT:
+            raise CliSemanticError(f"--wrapper {kind.value} requires --gait")
         return None, None
     gait = Gait(gait_name)
     return gait, build_gait_rm(gait, params)
-
-
-def _make_run_wrapper(
-    kind: WrapperKind,
-    rm: RewardMachine | None,
-    env_config: ToyEnvConfig,
-    params: RewardParams,
-) -> GaitEnvWrapper:
-    if kind is not WrapperKind.NO_GAIT and rm is None:
-        raise CliSemanticError(f"--wrapper {kind.value} requires --gait")
-    return make_wrapper(kind, ToyQuadrupedEnv(env_config), rm, params)
 
 
 def load_policy(path: str | Path) -> QTable:
@@ -183,12 +175,21 @@ def load_policy(path: str | Path) -> QTable:
     return q
 
 
-def _resolve_policy(spec: str):
-    """A policy argument is a Q-table CSV path or ``reference:<gait>``."""
+def _resolve_policy(spec: str, kind: WrapperKind):
+    """A policy argument is a Q-table CSV path or ``reference:<gait>``.
+    A Q-table must fit the key space of the wrapper it runs under."""
     if spec.startswith("reference:"):
         gait = Gait(spec.split(":", 1)[1])
         return ReferenceGaitPolicy(gait)
-    return load_policy(spec)
+    policy = load_policy(spec)
+    size = key_space_size(kind)
+    oversized = [k for k in policy if not 0 <= k < size]
+    if oversized:
+        raise CliSemanticError(
+            f"policy keys {oversized[:3]}... do not fit wrapper "
+            f"{kind.value} (key space {size})"
+        )
+    return policy
 
 
 def _policy_rows(q: QTable) -> list[list]:
@@ -201,7 +202,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rm, _ = load_rm(path)
-    except (OSError, RmFormatError) as exc:
+    except (OSError, RmFormatError, UnicodeDecodeError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_IO
     report = validate(rm)
@@ -259,9 +260,7 @@ def _aggregate_rows(curves: list[list[tuple[int, EvalMetrics]]]) -> list[list]:
 def cmd_train(args: argparse.Namespace) -> int:
     kind = WrapperKind(args.wrapper)
     env_config, learner_config, params = _load_run_configs(args)
-    gait, rm = _resolve_machine(args.gait, params)
-    if kind is not WrapperKind.NO_GAIT and rm is None:
-        raise CliSemanticError(f"--wrapper {kind.value} requires --gait")
+    gait, rm = _resolve_machine(args.gait, kind, params)
     seeds = _parse_seeds(args.seeds)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -285,7 +284,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     curves = []
     for seed in seeds:
-        wrapper = _make_run_wrapper(kind, rm, env_config, params)
+        wrapper = make_wrapper(kind, ToyQuadrupedEnv(env_config), rm, params)
         config = dataclasses.replace(learner_config, seed=seed)
         q, curve = train(wrapper, config, tracker_rm=rm)
         curves.append(curve)
@@ -323,17 +322,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     kind = WrapperKind(args.wrapper)
     env_config, _, params = _load_run_configs(args)
-    _, rm = _resolve_machine(args.gait, params)
-    policy = _resolve_policy(args.policy)
-    if isinstance(policy, dict):
-        size = key_space_size(kind)
-        oversized = [k for k in policy if not 0 <= k < size]
-        if oversized:
-            raise CliSemanticError(
-                f"policy keys {oversized[:3]}... do not fit wrapper "
-                f"{kind.value} (key space {size})"
-            )
-    wrapper = _make_run_wrapper(kind, rm, env_config, params)
+    _, rm = _resolve_machine(args.gait, kind, params)
+    policy = _resolve_policy(args.policy, kind)
+    wrapper = make_wrapper(kind, ToyQuadrupedEnv(env_config), rm, params)
     metrics = evaluate(policy, wrapper, tracker_rm=rm, episodes=args.episodes)
     print("episodes,mean_return,mean_pose_transitions,mean_distance")
     print(
@@ -381,19 +372,11 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     # The diagram horizon overrides the episode length so any requested
     # window can be drawn.
     env_config = dataclasses.replace(env_config, episode_length=args.steps)
-    gait, rm = _resolve_machine(args.gait, params)
+    gait, rm = _resolve_machine(args.gait, kind, params)
     if rm is None:
         raise CliSemanticError("diagram requires --gait for the automaton column")
-    policy = _resolve_policy(args.policy)
-    if isinstance(policy, dict):
-        size = key_space_size(kind)
-        oversized = [k for k in policy if not 0 <= k < size]
-        if oversized:
-            raise CliSemanticError(
-                f"policy keys {oversized[:3]}... do not fit wrapper "
-                f"{kind.value} (key space {size})"
-            )
-    wrapper = _make_run_wrapper(kind, rm, env_config, params)
+    policy = _resolve_policy(args.policy, kind)
+    wrapper = make_wrapper(kind, ToyQuadrupedEnv(env_config), rm, params)
     run = rollout(policy, wrapper, tracker_rm=rm, max_steps=args.steps)
 
     rows = []
@@ -604,7 +587,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliSemanticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
-    except (OSError, RmFormatError, json.JSONDecodeError) as exc:
+    except (OSError, RmFormatError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

@@ -3,8 +3,9 @@
 The environment keeps exactly what the gait rewards read: forward
 progress, a power scalar, and per-foot heights. Actions are target
 contact patterns (one bit per foot, bit set = lift that foot); a
-commanded foot settles in a single step, so the contact pattern is the
-whole observable state and tabular learners apply directly.
+commanded foot settles in a single step, so the state holds the
+commanded pattern itself; that pattern is the whole observation and
+tabular learners apply directly.
 
 Dynamics per step:
   - a lifted foot reaches ``lift_height``, a dropped foot returns to 0;
@@ -19,12 +20,11 @@ Dynamics per step:
 from __future__ import annotations
 
 import dataclasses
-import enum
 import functools
 import math
 from dataclasses import dataclass
 
-from .guards import ALL_LABEL_SETS, LabelSet, PROP_ORDER
+from .guards import ALL_LABEL_SETS, EMPTY_LABEL_SET, LabelSet, PROP_ORDER
 
 
 class InvalidConfigError(ValueError):
@@ -33,19 +33,6 @@ class InvalidConfigError(ValueError):
 
 class EpisodeFinishedError(RuntimeError):
     """step() was called on a terminated or truncated episode."""
-
-
-class FootPhase(enum.Enum):
-    PLANTED = "planted"
-    LIFTING = "lifting"
-
-
-@dataclass(frozen=True, slots=True)
-class FootState:
-    """Height above ground (0 when planted) and the commanded phase."""
-
-    height: float
-    phase: FootPhase
 
 
 _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
@@ -117,53 +104,34 @@ class StepInfo:
 
 @dataclass(frozen=True, slots=True)
 class ToyEnvState:
-    feet: tuple[FootState, FootState, FootState, FootState]
+    """The settled contact pattern (the last command, none at rest) and
+    its foot heights, the base position, the stumble flag and the step
+    count."""
+
+    airborne: LabelSet
+    foot_heights: tuple[float, float, float, float]
     base_x: float
-    prev_base_x: float
     fallen: bool
     step_count: int
 
-    @property
-    def airborne(self) -> LabelSet:
-        code = 0
-        for i, foot in enumerate(self.feet):
-            if foot.phase is FootPhase.LIFTING:
-                code |= 1 << i
-        return ALL_LABEL_SETS[code]
-
-    @property
-    def foot_heights(self) -> tuple[float, float, float, float]:
-        return tuple(f.height for f in self.feet)  # type: ignore[return-value]
-
-
-_PLANTED_FOOT = FootState(0.0, FootPhase.PLANTED)
-
 
 @functools.lru_cache(maxsize=None)
-def _settled_feet(lift_height: float) -> tuple:
-    """Feet tuples indexed by commanded airborne code; settling takes a
-    single step, so the outcome depends only on the command."""
-    lifted = FootState(lift_height, FootPhase.LIFTING)
+def _foot_heights(lift_height: float) -> tuple:
+    """Foot heights indexed by airborne code: a lifted foot is at
+    ``lift_height``, a planted one at 0."""
     return tuple(
-        tuple(
-            lifted if code >> prop.value & 1 else _PLANTED_FOOT
-            for prop in PROP_ORDER
-        )
+        tuple(lift_height if code >> prop.value & 1 else 0.0 for prop in PROP_ORDER)
         for code in range(16)
     )
 
 
-def reset(config: ToyEnvConfig, seed: int | None = None) -> ToyEnvState:
-    """Initial rest state: all feet planted at the origin.
-
-    The dynamics are deterministic; ``seed`` is accepted for interface
-    symmetry with stochastic environments and does not alter the state.
-    """
-    del seed
+def reset(config: ToyEnvConfig) -> ToyEnvState:
+    """Initial rest state: all feet planted at the origin. The dynamics
+    are deterministic, so every reset gives the same state."""
     return ToyEnvState(
-        feet=(_PLANTED_FOOT,) * 4,
+        airborne=EMPTY_LABEL_SET,
+        foot_heights=_foot_heights(config.lift_height)[EMPTY_LABEL_SET.code],
         base_x=0.0,
-        prev_base_x=0.0,
         fallen=False,
         step_count=0,
     )
@@ -194,14 +162,11 @@ def step(
         raise EpisodeFinishedError(
             "episode already finished; reset before stepping again"
         )
-    commanded = ALL_LABEL_SETS[_action_code(action)]
-    previous_airborne = state.airborne
-
-    feet = _settled_feet(config.lift_height)[commanded.code]
-    n_airborne = len(commanded)
+    code = _action_code(action)
+    n_airborne = code.bit_count()
     n_planted = 4 - n_airborne
     stumbled = n_planted < 2
-    changed = commanded != previous_airborne
+    changed = code != state.airborne.code
 
     # Balanced support = at least two planted feet; a stumble never advances.
     delta_x = config.stride_gain if (changed and not stumbled) else 0.0
@@ -210,17 +175,18 @@ def step(
     terminated = stumbled and config.stumble_terminates
     truncated = step_count >= config.episode_length
 
+    foot_heights = _foot_heights(config.lift_height)[code]
     next_state = ToyEnvState(
-        feet=feet,  # type: ignore[arg-type]
+        airborne=ALL_LABEL_SETS[code],
+        foot_heights=foot_heights,
         base_x=state.base_x + delta_x,
-        prev_base_x=state.base_x,
         fallen=stumbled,
         step_count=step_count,
     )
     info = StepInfo(
         delta_x=delta_x,
         power=power,
-        foot_heights=next_state.foot_heights,
+        foot_heights=foot_heights,
         terminated=terminated,
         truncated=truncated,
     )
@@ -253,16 +219,6 @@ def observe(state: ToyEnvState, config: ToyEnvConfig) -> int:
     return state.airborne.code
 
 
-def observe_rich(state: ToyEnvState, config: ToyEnvConfig) -> dict:
-    """Richer observation for non-tabular learners; the tabular key
-    remains the 4-bit code."""
-    return {
-        "pattern": observe(state, config),
-        "foot_heights": state.foot_heights,
-        "last_delta_x": state.base_x - state.prev_base_x,
-    }
-
-
 class ToyQuadrupedEnv:
     """Stateful shell over the functional dynamics.
 
@@ -278,8 +234,8 @@ class ToyQuadrupedEnv:
     def state(self) -> ToyEnvState:
         return self._state
 
-    def reset(self, seed: int | None = None) -> int:
-        self._state = reset(self.config, seed)
+    def reset(self) -> int:
+        self._state = reset(self.config)
         return observe(self._state, self.config)
 
     def step(self, action: int | LabelSet) -> tuple[int, StepInfo]:

@@ -358,7 +358,7 @@ def _time_free(snap: tuple, kind: WrapperKind) -> tuple:
     """A wrapper snapshot with its time-dependent parts zeroed: step
     count and base position, and stack3's frame history."""
     env_state, *rest = snap
-    core = dataclasses.replace(env_state, base_x=0.0, prev_base_x=0.0, step_count=0)
+    core = dataclasses.replace(env_state, base_x=0.0, step_count=0)
     if kind is WrapperKind.STACK3:
         rest[-1] = (0, 0, 0)
     return (core, *rest)

@@ -167,7 +167,7 @@ class GaitEnvWrapper:
     def machine(self) -> RewardMachine | None:
         return None
 
-    def reset(self, seed: int | None = None) -> Any:
+    def reset(self) -> Any:
         raise NotImplementedError
 
     def step(self, action: int | LabelSet) -> tuple[Any, float, bool, bool, StepInfo]:
@@ -211,8 +211,8 @@ class CrossProductWrapper(GaitEnvWrapper):
     def rm_state(self) -> RmState:
         return self._u
 
-    def reset(self, seed: int | None = None) -> CrossProductObservation:
-        base = self.env.reset(seed)
+    def reset(self) -> CrossProductObservation:
+        base = self.env.reset()
         self._u = self.rm.initial
         return CrossProductObservation(base, self._u)
 
@@ -261,8 +261,8 @@ class NoGaitWrapper(GaitEnvWrapper):
         self.params = params if params is not None else RewardParams()
         self._walk = Walk()
 
-    def reset(self, seed: int | None = None) -> int:
-        return self.env.reset(seed)
+    def reset(self) -> int:
+        return self.env.reset()
 
     def step(self, action: int | LabelSet) -> tuple[int, float, bool, bool, StepInfo]:
         base, info = self.env.step(action)
@@ -313,8 +313,8 @@ class _LatchRewardWrapper(GaitEnvWrapper):
     def _step_observation(self, base: int) -> Any:
         return base
 
-    def reset(self, seed: int | None = None) -> Any:
-        base = self.env.reset(seed)
+    def reset(self) -> Any:
+        base = self.env.reset()
         self._latch = MilestoneLatch.NONE
         return self._reset_observation(base)
 

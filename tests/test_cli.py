@@ -107,6 +107,7 @@ class TestTrain:
         )
         assert code == 2
         assert "--gait" in err
+        assert not (tmp_path / "x").exists()
 
     def test_no_gait_without_gait_is_allowed(self, capsys, tmp_path):
         out = tmp_path / "ng"
@@ -397,6 +398,24 @@ class TestMalformedInputs:
         code, _, err = run(capsys, "compare", str(tmp_path))
         assert code == 1
         assert "files" in err
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"{]"], ids=["non_utf8", "malformed"])
+    @pytest.mark.parametrize("command", ["validate", "eval", "train", "compare"])
+    def test_undecodable_input_file_is_io_error(self, capsys, tmp_path, command, content):
+        path = tmp_path / "in" / ("manifest.json" if command == "compare" else "input")
+        path.parent.mkdir()
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        argv = {
+            "validate": ["validate", str(path)],
+            "eval": ["eval", "--policy", str(path), "--wrapper", "naive", "--gait", "trot"],
+            "train": ["train", "--config", str(path), "--gait", "trot", "--out", str(out)],
+            "compare": ["compare", str(path.parent)],
+        }[command]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:")
+        assert not out.exists()
 
     def test_truncated_curve_row_is_io_error(self, capsys, tmp_path):
         curve = self._campaign(capsys, tmp_path) / "curve_seed0.csv"

@@ -1,19 +1,18 @@
 """Tests for the toy quadruped environment dynamics and labeling."""
 
+import dataclasses
 import random
 
 import pytest
 
 from gaitrm.env import (
     EpisodeFinishedError,
-    FootPhase,
     InvalidConfigError,
     StepInfo,
     ToyEnvConfig,
     ToyQuadrupedEnv,
     label,
     observe,
-    observe_rich,
     reset,
     step,
 )
@@ -81,9 +80,9 @@ class TestReset:
         assert label(state, config.clearance) == EMPTY_LABEL_SET
         assert observe(state, config) == 0
 
-    def test_same_seed_identical(self):
+    def test_reset_is_deterministic(self):
         config = ToyEnvConfig()
-        assert reset(config, seed=7) == reset(config, seed=7)
+        assert reset(config) == reset(config)
 
 
 class TestStep:
@@ -189,14 +188,6 @@ class TestObserve:
         state, _ = step(reset(config), 15, config)
         assert observe(state, config) == 15
 
-    def test_rich_observation(self):
-        config = ToyEnvConfig()
-        state, _ = step(reset(config), TROT_A, config)
-        rich = observe_rich(state, config)
-        assert rich["pattern"] == 9
-        assert rich["foot_heights"] == (0.10, 0.0, 0.0, 0.10)
-        assert rich["last_delta_x"] == 0.05
-
 
 class TestInvariants:
     def test_determinism_across_instances(self):
@@ -271,6 +262,59 @@ class TestInvariants:
             action = PACE_A if i % 2 == 0 else PACE_B
             state, info = step(state, action, config)
             assert info.delta_x == config.stride_gain
+
+
+DYNAMICS_CONFIGS = {
+    "default": ToyEnvConfig(),
+    "no_stumble_termination": ToyEnvConfig(stumble_terminates=False),
+    "custom_geometry": ToyEnvConfig(
+        clearance=0.15,
+        lift_height=0.2,
+        stride_gain=0.07,
+        lift_power_cost=2.5,
+        episode_length=2,
+    ),
+}
+
+
+@pytest.mark.parametrize("config_name", sorted(DYNAMICS_CONFIGS))
+def test_dynamics_over_every_pattern_and_action(config_name):
+    """Every (previous contact pattern, action) pair, checked against the
+    rules in the README recomputed here from bit counts."""
+    config = DYNAMICS_CONFIGS[config_name]
+    reach = dataclasses.replace(config, stumble_terminates=False)
+    env = ToyQuadrupedEnv(config)
+    for previous in range(16):
+        # The state one step after commanding ``previous`` from rest.
+        before, _ = step(reset(reach), previous, reach)
+        assert observe(before, config) == previous
+        assert before.fallen == (bin(previous).count("1") > 2)
+        for action in range(16):
+            if before.fallen and config.stumble_terminates:
+                with pytest.raises(EpisodeFinishedError):
+                    step(before, action, config)
+                continue
+            after, info = step(before, action, config)
+            n_airborne = bin(action).count("1")
+            stumbled = n_airborne > 2
+            progress = action != previous and not stumbled
+            heights = tuple(
+                config.lift_height if action >> i & 1 else 0.0 for i in range(4)
+            )
+            assert info.delta_x == (config.stride_gain if progress else 0.0)
+            assert info.power == config.lift_power_cost * n_airborne
+            assert info.foot_heights == heights
+            assert info.terminated == (stumbled and config.stumble_terminates)
+            assert info.truncated == (2 >= config.episode_length)
+            assert info.torques is None and info.joint_velocities is None
+            assert after.fallen == stumbled
+            assert after.step_count == 2
+            assert after.base_x == before.base_x + info.delta_x
+            assert label(info, config.clearance).code == action
+            assert label(after, config.clearance).code == action
+            assert observe(after, config) == action
+            env.set_state(before)
+            assert env.step(action) == (action, info)
 
 
 class TestStatefulShell:

@@ -37,7 +37,7 @@ def real_core(snap: tuple, kind: WrapperKind) -> tuple:
     env_state, *rest = snap
     if kind is WrapperKind.STACK3:
         rest = rest[:-1]
-    return (env_state.feet, env_state.fallen, *rest)
+    return (env_state.airborne, env_state.fallen, *rest)
 
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
