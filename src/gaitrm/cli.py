@@ -39,6 +39,7 @@ from .machine import (
     RmFormatError,
     build_gait_rm,
     load_rm,
+    loads_json,
     validate,
 )
 from .wrappers import WrapperKind, make_wrapper
@@ -114,7 +115,7 @@ def _load_run_configs(
     learner_doc: dict = {}
     params_doc: dict = {}
     if getattr(args, "config", None):
-        doc = json.loads(Path(args.config).read_text())
+        doc = loads_json(Path(args.config).read_text())
         if not isinstance(doc, dict):
             raise CliSemanticError("config document root must be an object")
         unknown = sorted(set(doc) - {"env", "learner", "reward"})
@@ -133,7 +134,7 @@ def _load_run_configs(
         env_config = ToyEnvConfig(**env_doc)
         learner_config = LearnerConfig(**learner_doc)
         params = RewardParams(**params_doc)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliSemanticError(f"bad configuration: {exc}") from exc
     return env_config, learner_config, params
 
@@ -377,7 +378,7 @@ def cmd_diagram(args: argparse.Namespace) -> int:
         raise CliSemanticError("diagram requires --gait for the automaton column")
     policy = _resolve_policy(args.policy, kind)
     wrapper = make_wrapper(kind, ToyQuadrupedEnv(env_config), rm, params)
-    run = rollout(policy, wrapper, tracker_rm=rm, max_steps=args.steps)
+    run = rollout(policy, wrapper, tracker_rm=rm)
 
     rows = []
     for s in run.steps:
@@ -443,7 +444,7 @@ def _final_metrics_from_curve(path: Path) -> tuple[float, float] | None:
 
 def _read_manifest(path: Path) -> dict:
     """A run manifest with the fields ``compare`` reads, or RmFormatError."""
-    doc = json.loads(path.read_text())
+    doc = loads_json(path.read_text())
     if not isinstance(doc, dict):
         raise RmFormatError(f"{path}: manifest root must be an object")
     missing = sorted({"gait", "wrapper", "seeds", "files"} - set(doc))
@@ -587,7 +588,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliSemanticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
-    except (OSError, RmFormatError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, RmFormatError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

@@ -11,6 +11,10 @@ Concrete syntax (whitespace insignificant, precedence NOT > AND > OR):
     and   := unary ("&" unary)*
     unary := "!" unary | "(" expr ")" | ident
     ident := "FL" | "FR" | "BL" | "BR"
+
+A literal is one level deep, and each "!", "&", "|" or pair of
+parentheses adds a level above what it encloses; the parser rejects a
+guard deeper than MAX_GUARD_DEPTH levels.
 """
 
 from __future__ import annotations
@@ -202,6 +206,10 @@ class UnknownPropositionError(GuardSyntaxError):
     """An identifier that is not one of FL, FR, BL, BR."""
 
 
+# Every recursive walk of an accepted guard (parse, eval, render, hash)
+# stays well inside Python's default recursion limit of 1000 frames.
+MAX_GUARD_DEPTH = 100
+
 _TokenKind = str  # "ident" | "!" | "&" | "|" | "(" | ")" | "end"
 
 
@@ -231,9 +239,12 @@ def _tokenize(text: str) -> list[tuple[_TokenKind, str, int]]:
 
 
 class _Parser:
+    """Recursive descent; each parse method returns a node and its depth."""
+
     def __init__(self, tokens: list[tuple[_TokenKind, str, int]]):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0  # "!" and "(" levels enclosing the current token
 
     def peek(self) -> tuple[_TokenKind, str, int]:
         return self.tokens[self.pos]
@@ -243,33 +254,49 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_expr(self) -> Guard:
-        node = self.parse_and()
+    @staticmethod
+    def bounded(depth: int, pos: int) -> int:
+        if depth > MAX_GUARD_DEPTH:
+            raise GuardSyntaxError(
+                f"guard nested deeper than {MAX_GUARD_DEPTH} levels", pos
+            )
+        return depth
+
+    def parse_expr(self) -> tuple[Guard, int]:
+        node, depth = self.parse_and()
         while self.peek()[0] == "|":
-            self.advance()
-            node = Or(node, self.parse_and())
-        return node
+            pos = self.advance()[2]
+            right, right_depth = self.parse_and()
+            node, depth = Or(node, right), self.bounded(max(depth, right_depth) + 1, pos)
+        return node, depth
 
-    def parse_and(self) -> Guard:
-        node = self.parse_unary()
+    def parse_and(self) -> tuple[Guard, int]:
+        node, depth = self.parse_unary()
         while self.peek()[0] == "&":
-            self.advance()
-            node = And(node, self.parse_unary())
-        return node
+            pos = self.advance()[2]
+            right, right_depth = self.parse_unary()
+            node, depth = And(node, right), self.bounded(max(depth, right_depth) + 1, pos)
+        return node, depth
 
-    def parse_unary(self) -> Guard:
+    def parse_unary(self) -> tuple[Guard, int]:
         kind, value, pos = self.peek()
-        if kind == "!":
+        if kind in ("!", "("):
+            # Refuse before recursing: what this level encloses is at
+            # least one level deep.
+            self.open += 1
+            self.bounded(self.open + 1, pos)
             self.advance()
-            return Not(self.parse_unary())
-        if kind == "(":
-            self.advance()
-            node = self.parse_expr()
-            kind, _, pos = self.peek()
-            if kind != ")":
-                raise GuardSyntaxError("expected ')'", pos)
-            self.advance()
-            return node
+            if kind == "!":
+                operand, depth = self.parse_unary()
+                node: Guard = Not(operand)
+            else:
+                node, depth = self.parse_expr()
+                kind, _, close = self.peek()
+                if kind != ")":
+                    raise GuardSyntaxError("expected ')'", close)
+                self.advance()
+            self.open -= 1
+            return node, self.bounded(depth + 1, pos)
         if kind == "ident":
             self.advance()
             try:
@@ -279,7 +306,7 @@ class _Parser:
                     f"unknown proposition {value!r}; expected one of FL, FR, BL, BR",
                     pos,
                 ) from None
-            return Lit(prop)
+            return Lit(prop), 1
         raise GuardSyntaxError(
             f"expected a proposition, '!' or '(', found {value or 'end of input'!r}",
             pos,
@@ -291,7 +318,7 @@ def parse_guard(text: str) -> Guard:
     if not text.strip():
         raise GuardSyntaxError("empty guard expression", 0)
     parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     kind, value, pos = parser.peek()
     if kind != "end":
         raise GuardSyntaxError(f"unexpected {value!r} after expression", pos)

@@ -1,32 +1,24 @@
 """Tabular Q-learning over wrapped environments, plus the evaluation
-protocol that scores every approach with the same pose-transition
-tracker.
+protocol that scores every approach by the same pose-transition count.
 
 Policies are Q-tables mapping discrete observation keys to 16-entry
 action-value rows. Evaluation deploys a policy greedily for a fixed
-number of episodes and reports mean return, mean pose transitions (via
-a passive automaton tracker, regardless of what the policy observed
-during training) and mean distance travelled.
+number of episodes and reports mean return, mean pose transitions
+(counted by stepping the machine's transition table on each step's
+labels, regardless of what the policy observed during training) and
+mean distance travelled.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import logging
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, Union
 
 from .env import check_field_types, label
-from .machine import Gait, RewardMachine, RmState, transition_table
-from .wrappers import (
-    CrossProductObservation,
-    GaitEnvWrapper,
-    WrapperKind,
-    base_pattern,
-)
-
-log = logging.getLogger(__name__)
+from .machine import Gait, RewardMachine, transition_table
+from .wrappers import GaitEnvWrapper, WrapperKind, base_pattern
 
 NUM_ACTIONS = 16
 
@@ -115,39 +107,30 @@ def q_update(
     return q
 
 
-class UnknownWrapperError(ValueError):
-    pass
+_KEY_SPACE_SIZES = {
+    WrapperKind.CROSS_PRODUCT: 16 * 2,  # contact pattern x two gait states
+    WrapperKind.NO_GAIT: 16,
+    WrapperKind.NAIVE: 16,
+    WrapperKind.STACK3: 16**3,
+    WrapperKind.AUGMENTED: 16 * 16,
+}
 
 
-def key_space_size(kind: WrapperKind, n_rm_states: int = 2) -> int:
-    if kind is WrapperKind.CROSS_PRODUCT:
-        return 16 * n_rm_states
-    if kind in (WrapperKind.NAIVE, WrapperKind.NO_GAIT):
-        return 16
-    if kind is WrapperKind.STACK3:
-        return 16**3
-    if kind is WrapperKind.AUGMENTED:
-        return 16 * 16
-    raise UnknownWrapperError(f"unknown wrapper kind: {kind!r}")
+def key_space_size(kind: WrapperKind) -> int:
+    return _KEY_SPACE_SIZES[kind]
 
 
 def discretize(observation: Any, kind: WrapperKind) -> int:
     """Injective observation -> table key encoding per wrapper kind."""
     if kind is WrapperKind.CROSS_PRODUCT:
-        if not isinstance(observation, CrossProductObservation):
-            raise UnknownWrapperError(
-                f"cross-product key needs a CrossProductObservation, got {observation!r}"
-            )
         return observation.base + 16 * observation.rm_state.index
-    if kind in (WrapperKind.NAIVE, WrapperKind.NO_GAIT):
-        return observation
     if kind is WrapperKind.STACK3:
         a, b, c = observation
         return a + 16 * b + 256 * c
     if kind is WrapperKind.AUGMENTED:
         base, fl, fr, bl, br = observation
         return base + 16 * (fl | fr << 1 | bl << 2 | br << 3)
-    raise UnknownWrapperError(f"unknown wrapper kind: {kind!r}")
+    return observation
 
 
 PolicyFn = Callable[[Any, int], int]
@@ -179,33 +162,7 @@ class ReferenceGaitPolicy:
 def as_policy_fn(policy: Policy, kind: WrapperKind) -> PolicyFn:
     if isinstance(policy, dict):
         return lambda obs, t: greedy_action(policy, discretize(obs, kind))
-    if callable(policy):
-        return policy
-    raise TypeError(f"not a policy: {policy!r}")
-
-
-class PoseTransitionTracker:
-    """Passive automaton tracker: replays the label sequence through the
-    machine to count milestone transitions, independent of whatever the
-    evaluated policy observed."""
-
-    def __init__(self, rm: RewardMachine):
-        self.rm = rm
-        self._table = transition_table(rm)
-        self._u = rm.initial
-
-    @property
-    def state(self) -> RmState:
-        return self._u
-
-    def reset(self) -> None:
-        self._u = self.rm.initial
-
-    def update(self, label_code: int) -> tuple[RmState, bool]:
-        nxt, _ = self._table[(self._u.index, label_code)]
-        transitioned = nxt != self._u
-        self._u = nxt
-        return nxt, transitioned
+    return policy
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,34 +194,36 @@ def rollout(
     policy: Policy,
     wrapper: GaitEnvWrapper,
     tracker_rm: RewardMachine | None = None,
-    max_steps: int | None = None,
 ) -> Rollout:
-    """Deploy a policy greedily for one episode, logging every step."""
+    """Deploy a policy greedily for one episode, logging every step.
+
+    Pose transitions are counted by stepping ``tracker_rm`` (default:
+    the wrapper's machine) from its initial state on each step's labels,
+    whatever the policy observed; with no machine they stay 0.
+    """
     if tracker_rm is None:
         tracker_rm = wrapper.machine
-    tracker = PoseTransitionTracker(tracker_rm) if tracker_rm is not None else None
+    table = transition_table(tracker_rm) if tracker_rm is not None else None
+    u = tracker_rm.initial if tracker_rm is not None else None
     policy_fn = as_policy_fn(policy, wrapper.kind)
     clearance = wrapper.config.clearance
-    horizon = wrapper.config.episode_length
-    if max_steps is not None:
-        horizon = min(horizon, max_steps)
 
     obs = wrapper.reset()
     steps = []
     total_reward = 0.0
     transitions = 0
-    for t in range(horizon):
+    rm_name, transitioned = "", False
+    for t in range(wrapper.config.episode_length):
         action = policy_fn(obs, t)
         obs, reward, terminated, truncated, info = wrapper.step(action)
         labels = label(info, clearance)
         total_reward += reward
-        if tracker is not None:
-            rm_state, transitioned = tracker.update(labels.code)
-            rm_name = rm_state.name
+        if table is not None:
+            nxt, _ = table[(u.index, labels.code)]
+            transitioned = nxt != u
             transitions += transitioned
-        else:
-            rm_name = ""
-            transitioned = False
+            u = nxt
+            rm_name = u.name
         steps.append(
             RolloutStep(
                 index=t + 1,
@@ -309,10 +268,6 @@ def evaluate(
     """Deploy a policy greedily for ``episodes`` full episodes."""
     if episodes <= 0:
         raise ValueError(f"episodes must be positive, got {episodes}")
-    if tracker_rm is None:
-        tracker_rm = wrapper.machine
-    if tracker_rm is None:
-        log.info("no machine available for pose tracking; transitions report 0")
     returns = 0.0
     transitions = 0
     distance = 0.0

@@ -10,6 +10,7 @@ energy penalty) or a pose-switch bonus ``b * tanh(dx)``.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 import warnings
@@ -253,12 +254,15 @@ def rm_step(
     )
 
 
+@functools.lru_cache(maxsize=None)
 def transition_table(
     rm: RewardMachine,
 ) -> dict[tuple[int, int], tuple[RmState, RewardSpec]]:
     """Dense (state index, label code) -> (next state, reward spec) map.
 
     Precomputing this makes stepping O(1); requires a valid machine.
+    Built at first use and cached: machines equal by value share one
+    table, so the returned dict is shared and must not be mutated.
     """
     table = {}
     for state in rm.states:
@@ -327,11 +331,22 @@ def _reward_from_doc(doc: dict, where: str) -> RewardSpec:
         _reject_unknown(doc, {"type", "b"}, where)
         if "b" not in doc:
             raise RmFormatError(f"{where}: switch_pose_bonus requires field 'b'")
-        b = doc["b"]
-        if not isinstance(b, (int, float)) or isinstance(b, bool):
-            raise RmFormatError(f"{where}: 'b' must be a number")
-        return SwitchPoseBonus(float(b))
+        b = _number(doc["b"], f"{where}: 'b'")
+        if not math.isfinite(b):
+            raise RmFormatError(f"{where}: 'b' must be finite, got {b}")
+        return SwitchPoseBonus(b)
     raise RmFormatError(f"{where}: unknown reward type {kind!r}")
+
+
+def _number(raw: object, what: str) -> float:
+    """A JSON number as a float; anything else, a bool included, and an
+    integer too large for a float are format errors."""
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        raise RmFormatError(f"{what} must be a number")
+    try:
+        return float(raw)
+    except OverflowError:
+        raise RmFormatError(f"{what} is too large for a float") from None
 
 
 def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
@@ -433,10 +448,9 @@ def machine_from_document(doc: dict) -> tuple[RewardMachine, RewardParams]:
     defaults = RewardParams()
     values = {}
     for key in ("w_e", "gamma", "bonus_b"):
-        raw = params_doc.get(key, getattr(defaults, key))
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-            raise RmFormatError(f"params: {key} must be a number")
-        values[key] = float(raw)
+        values[key] = _number(
+            params_doc.get(key, getattr(defaults, key)), f"params: {key}"
+        )
     try:
         params = RewardParams(**values)
     except ValueError as exc:
@@ -471,6 +485,17 @@ def save_rm(
         Path(destination).write_text(text)
 
 
+def loads_json(text: str) -> object:
+    """Decode a JSON document; malformed text, or text nested too deeply
+    to decode, is an RmFormatError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise RmFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise RmFormatError("JSON nested too deeply") from None
+
+
 def load_rm(source: str | Path | IO[str]) -> tuple[RewardMachine, RewardParams]:
     """Read a machine document. Validation problems do not fail the load;
     they are raised as an RmValidationWarning carrying the report."""
@@ -478,11 +503,7 @@ def load_rm(source: str | Path | IO[str]) -> tuple[RewardMachine, RewardParams]:
         text = source.read()
     else:
         text = Path(source).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise RmFormatError(f"not valid JSON: {exc}") from exc
-    rm, params = machine_from_document(doc)
+    rm, params = machine_from_document(loads_json(text))
     report = validate(rm)
     if not report.valid:
         warnings.warn(

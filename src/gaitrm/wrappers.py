@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .env import StepInfo, ToyEnvConfig, ToyQuadrupedEnv, label
-from .guards import Guard, LabelSet, truth_table
+from .guards import LabelSet, truth_table
 from .machine import (
     RewardMachine,
     RewardParams,
@@ -59,12 +59,10 @@ class GaitShapeError(ValueError):
 
 @dataclass(frozen=True)
 class GaitShape:
-    """The two-state gait structure extracted from a machine: the pose
-    guards on the cross transitions and the reward specs on all four
-    edges. ``mask_a``/``mask_b`` are 16-bit satisfying-set masks."""
+    """The two-state gait structure extracted from a machine: the
+    16-bit satisfying-set masks of the pose guards on the cross
+    transitions and the reward specs on all four edges."""
 
-    guard_a: Guard
-    guard_b: Guard
     mask_a: int
     mask_b: int
     bonus_a: RewardSpec
@@ -90,13 +88,9 @@ def gait_shape(rm: RewardMachine) -> GaitShape:
         raise GaitShapeError(
             "expected exactly one transition each way and one self-loop per state"
         )
-    guard_a = forward[0].guard
-    guard_b = backward[0].guard
     return GaitShape(
-        guard_a=guard_a,
-        guard_b=guard_b,
-        mask_a=truth_table(guard_a),
-        mask_b=truth_table(guard_b),
+        mask_a=truth_table(forward[0].guard),
+        mask_b=truth_table(backward[0].guard),
         bonus_a=forward[0].reward,
         bonus_b=backward[0].reward,
         loop_q0=loop0[0].reward,

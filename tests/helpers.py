@@ -6,8 +6,8 @@ from __future__ import annotations
 import random
 
 from gaitrm.env import ToyEnvConfig, ToyQuadrupedEnv
-from gaitrm.guards import And, Guard, Lit, Not, Or, Prop
-from gaitrm.machine import Gait, RewardMachine, build_gait_rm
+from gaitrm.guards import MAX_GUARD_DEPTH, And, Guard, Lit, Not, Or, Prop
+from gaitrm.machine import Gait, RewardMachine, build_gait_rm, machine_to_document
 from gaitrm.wrappers import (
     CrossProductWrapper,
     MilestoneLatch,
@@ -31,6 +31,29 @@ def random_guard(rng: random.Random, depth: int) -> Guard:
     if kind == 1:
         return And(random_guard(rng, depth - 1), random_guard(rng, depth - 1))
     return Or(random_guard(rng, depth - 1), random_guard(rng, depth - 1))
+
+
+def nested_guard(shape: str, depth: int) -> str:
+    """Guard text exactly ``depth`` levels deep, nested one way: "!",
+    "()", or a chain of "&" or "|" operands."""
+    if shape == "!":
+        return "!" * (depth - 1) + "FL"
+    if shape == "()":
+        return "(" * (depth - 1) + "FL" + ")" * (depth - 1)
+    return f" {shape} ".join(["FL"] * depth)
+
+
+def deepest_trot_document() -> dict:
+    """The trot machine document with its q0 guards rewritten to mean
+    the same under as many "!" as MAX_GUARD_DEPTH admits."""
+    doc = machine_to_document(build_gait_rm(Gait.TROT))
+    pose_a = doc["transitions"][0]["guard"]  # five levels deep
+    for transition, negate in zip(doc["transitions"][:2], (False, True)):
+        nots, inner = MAX_GUARD_DEPTH - 6, f"({pose_a})"
+        if nots % 2 != negate:
+            nots, inner = nots - 1, f"({inner})"
+        transition["guard"] = "!" * nots + inner
+    return doc
 
 
 def make_pair(

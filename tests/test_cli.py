@@ -9,6 +9,7 @@ import pytest
 from gaitrm.cli import load_policy, main
 from gaitrm.guards import LabelSet, Prop
 from gaitrm.machine import Gait, build_gait_rm, machine_to_document, transition_table
+from helpers import deepest_trot_document, nested_guard
 
 MACHINES_DIR = Path(__file__).resolve().parent.parent / "machines"
 
@@ -58,6 +59,28 @@ class TestValidate:
         path.write_text("{]")
         code, _, err = run(capsys, "validate", str(path))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "b, message",
+        [("1e400", "finite"), ("NaN", "finite"), ("-Infinity", "finite"),
+         ("1" + "0" * 400, "too large")],
+        ids=["overflow", "nan", "minus_infinity", "huge_int"],
+    )
+    def test_non_finite_bonus_exit_1_without_report(self, capsys, tmp_path, b, message):
+        text = (MACHINES_DIR / "trot.json").read_text()
+        path = tmp_path / "bonus.json"
+        path.write_text(text.replace('"b": 10000.0', f'"b": {b}', 1))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert "transitions[0]: 'b'" in err and message in err
+
+    def test_guards_at_the_depth_limit_are_valid(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(deepest_trot_document()))
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 0
+        assert "valid: yes" in out
 
 
 class TestTrain:
@@ -173,6 +196,21 @@ class TestTrain:
         )
         assert code == 2
         assert field in err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("section, field", [("env", "clearance"), ("reward", "bonus_b")])
+    def test_number_too_large_for_a_float_is_semantic_error(
+        self, capsys, tmp_path, section, field
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({section: {field: 10**400}}))
+        out = tmp_path / "x"
+        code, _, err = run(
+            capsys, "train", "--gait", "trot", "--wrapper", "naive",
+            "--seeds", "1", "--out", str(out), "--config", str(config), *TINY_TRAIN,
+        )
+        assert code == 2
+        assert "bad configuration" in err
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize(
@@ -415,6 +453,37 @@ class TestMalformedInputs:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", [
+        "guard_not", "guard_parens", "guard_and_chain",
+        "machine_json", "config_json", "manifest_json",
+    ])
+    def test_deep_nesting_is_io_error(self, capsys, tmp_path, case):
+        deep_json = "[" * 100_000 + "]" * 100_000
+        path = tmp_path / "in" / ("manifest.json" if case == "manifest_json" else "input")
+        path.parent.mkdir()
+        if case.startswith("guard"):
+            doc = machine_to_document(build_gait_rm(Gait.TROT))
+            doc["transitions"][0]["guard"] = {
+                "guard_not": nested_guard("!", 3_000),
+                "guard_parens": nested_guard("()", 3_000),
+                "guard_and_chain": nested_guard("&", 1_000),
+            }[case]
+            path.write_text(json.dumps(doc))
+        else:
+            path.write_text(deep_json)
+        out = tmp_path / "out"
+        argv = {
+            "config_json": ["train", "--config", str(path), "--gait", "trot",
+                            "--out", str(out)],
+            "manifest_json": ["compare", str(path.parent)],
+        }.get(case, ["validate", str(path)])
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error:")
+        assert ("bad guard" if case.startswith("guard") else "nested too deeply") in err
         assert not out.exists()
 
     def test_truncated_curve_row_is_io_error(self, capsys, tmp_path):

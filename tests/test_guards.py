@@ -13,6 +13,7 @@ from gaitrm.guards import (
     GuardSyntaxError,
     LabelSet,
     Lit,
+    MAX_GUARD_DEPTH,
     Not,
     Or,
     Prop,
@@ -25,7 +26,7 @@ from gaitrm.guards import (
     semantically_equal,
     truth_table,
 )
-from helpers import random_guard
+from helpers import nested_guard, random_guard
 
 TROT_POSE_A = "FL & !FR & !BL & BR"
 
@@ -113,6 +114,30 @@ class TestParser:
         dense = parse_guard("FL&!FR&!BL&BR")
         spaced = parse_guard("  FL  &  ! FR & !BL &BR ")
         assert truth_table(dense) == truth_table(spaced)
+
+    @pytest.mark.parametrize("shape", ["!", "()", "&", "|"])
+    def test_guard_at_depth_limit_parses_evaluates_renders_and_hashes(self, shape):
+        guard = parse_guard(nested_guard(shape, MAX_GUARD_DEPTH))
+        nots = (MAX_GUARD_DEPTH - 1) % 2 if shape == "!" else 0
+        assert truth_table(guard) == truth_table(parse_guard("!" * nots + "FL"))
+        assert parse_guard(render_guard(guard)) == guard
+        hash(guard)
+
+    @pytest.mark.parametrize("shape", ["!", "()", "&", "|"])
+    @pytest.mark.parametrize("depth", [MAX_GUARD_DEPTH + 1, 3_000])
+    def test_guard_beyond_depth_limit_is_syntax_error(self, shape, depth):
+        with pytest.raises(GuardSyntaxError, match=f"deeper than {MAX_GUARD_DEPTH}"):
+            parse_guard(nested_guard(shape, depth))
+
+    def test_depth_counts_every_level(self):
+        inner = nested_guard("&", MAX_GUARD_DEPTH - 2)
+        parse_guard(f"!({inner})")
+        with pytest.raises(GuardSyntaxError, match="deeper than"):
+            parse_guard(f"!!({inner})")
+        with pytest.raises(GuardSyntaxError, match="deeper than"):
+            parse_guard(f"!(({inner}))")
+        with pytest.raises(GuardSyntaxError, match="deeper than"):
+            parse_guard(f"!({inner}) | FL")
 
 
 class TestEval:

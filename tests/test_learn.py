@@ -1,17 +1,15 @@
 """Tests for tabular Q-learning, discretization and the evaluation
-protocol with its passive pose tracker."""
+protocol with its pose-transition count."""
 
 import pytest
 
-from gaitrm.env import ToyQuadrupedEnv
+from gaitrm.env import ToyEnvConfig, ToyQuadrupedEnv
 from gaitrm.guards import LabelSet, Prop
-from gaitrm.machine import Gait, build_gait_rm
+from gaitrm.machine import Gait, build_gait_rm, machine_from_document
 from gaitrm.learn import (
     EvalMetrics,
     LearnerConfig,
-    PoseTransitionTracker,
     ReferenceGaitPolicy,
-    UnknownWrapperError,
     discretize,
     epsilon_at,
     evaluate,
@@ -29,6 +27,7 @@ from gaitrm.wrappers import (
     WrapperKind,
     make_wrapper,
 )
+from helpers import deepest_trot_document
 
 TROT_A = LabelSet.of(Prop.FL, Prop.BR)
 TROT_B = LabelSet.of(Prop.FR, Prop.BL)
@@ -160,10 +159,6 @@ class TestDiscretize:
         key = discretize((9, 1, 0, 0, 1), WrapperKind.AUGMENTED)
         assert 0 <= key < key_space_size(WrapperKind.AUGMENTED) == 256
 
-    def test_wrong_observation_type_for_cross(self):
-        with pytest.raises(UnknownWrapperError):
-            discretize(9, WrapperKind.CROSS_PRODUCT)
-
 
 class TestEvaluateProtocol:
     def test_defaults_ten_episodes_of_episode_length(self):
@@ -290,6 +285,19 @@ class TestTrain:
         assert final.mean_pose_transitions >= 90.0
         assert final.mean_distance >= 4.5
 
+    @pytest.mark.parametrize("wrapper_cls", [CrossProductWrapper, NaiveWrapper])
+    def test_guards_at_the_depth_limit_train_like_the_builtin(self, wrapper_cls):
+        deep, _ = machine_from_document(deepest_trot_document())
+        trot = build_gait_rm(Gait.TROT)
+        hash(deep)
+        assert deep != trot
+        config = LearnerConfig(total_steps=2000, eval_every=1000, seed=3)
+        runs = [
+            train(wrapper_cls(ToyQuadrupedEnv(), rm), config, tracker_rm=rm)
+            for rm in (deep, trot)
+        ]
+        assert runs[0] == runs[1]
+
     def test_no_gait_learns_positive_distance(self):
         wrapper = NoGaitWrapper(ToyQuadrupedEnv())
         config = LearnerConfig(total_steps=15_000, eval_every=5_000, seed=0)
@@ -297,23 +305,36 @@ class TestTrain:
         assert curve[-1][1].mean_distance > 0.0
 
 
+def scripted(codes):
+    """A policy that commands ``codes`` in order, one per step."""
+    return lambda obs, t: codes[t]
+
+
 class TestTracker:
+    """The pose-transition count that ``rollout`` keeps on the tracked
+    machine, whatever the wrapper."""
+
     def test_counts_alternations_only(self):
-        rm = build_gait_rm(Gait.TROT)
-        tracker = PoseTransitionTracker(rm)
-        transitions = 0
-        for code in (0, TROT_A.code, TROT_A.code, TROT_B.code, 5, TROT_A.code):
-            _, moved = tracker.update(code)
-            transitions += moved
-        assert transitions == 3  # A, then B, then A again
+        codes = (0, TROT_A.code, TROT_A.code, TROT_B.code, 5, TROT_A.code)
+        wrapper = NoGaitWrapper(ToyQuadrupedEnv(ToyEnvConfig(episode_length=6)))
+        run = rollout(scripted(codes), wrapper, tracker_rm=build_gait_rm(Gait.TROT))
+        assert [s.label_bits for s in run.steps] == [
+            LabelSet.from_code(c).bits() for c in codes
+        ]
+        assert run.pose_transitions == 3  # A, then B, then A again
+        assert [s.transition for s in run.steps] == [
+            False, True, False, True, False, True
+        ]
+        assert [s.rm_state for s in run.steps] == ["q0", "q1", "q1", "q0", "q0", "q1"]
 
     def test_reset_restores_initial(self):
         rm = build_gait_rm(Gait.TROT)
-        tracker = PoseTransitionTracker(rm)
-        tracker.update(TROT_A.code)
-        assert tracker.state.name == "q1"
-        tracker.reset()
-        assert tracker.state == rm.initial
+        wrapper = NaiveWrapper(ToyQuadrupedEnv(ToyEnvConfig(episode_length=1)), rm)
+        for _ in range(2):
+            # Each rollout starts at q0, so pose A moves it to q1 again.
+            run = rollout(scripted((TROT_A.code,)), wrapper)
+            assert [(s.rm_state, s.transition) for s in run.steps] == [("q1", True)]
+            assert run.pose_transitions == 1
 
 
 class TestLearnerConfig:

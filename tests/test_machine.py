@@ -219,11 +219,25 @@ class TestRmStep:
             rm_step(duplicated, rm.initial, LabelSet.of(Prop.FL, Prop.BR))
 
     def test_transition_table_matches_rm_step(self):
-        rm = build_gait_rm(Gait.BOUND)
-        table = transition_table(rm)
-        for state in rm.states:
-            for labels in ALL_LABEL_SETS:
-                assert table[(state.index, labels.code)] == rm_step(rm, state, labels)
+        machines = {gait.value: build_gait_rm(gait) for gait in Gait}
+        for path in sorted(MACHINES_DIR.glob("*.json")):
+            machines[path.name], _ = load_rm(path)
+        assert len(machines) == 6
+        for name, rm in machines.items():
+            table = transition_table(rm)
+            assert len(table) == len(rm.states) * len(ALL_LABEL_SETS), name
+            for state in rm.states:
+                for labels in ALL_LABEL_SETS:
+                    expected = rm_step(rm, state, labels)
+                    assert table[(state.index, labels.code)] == expected, name
+
+    def test_transition_table_shared_by_equal_machines(self):
+        trot = transition_table(build_gait_rm(Gait.TROT))
+        loaded, _ = load_rm(MACHINES_DIR / "trot.json")
+        assert transition_table(build_gait_rm(Gait.TROT)) is trot
+        assert transition_table(loaded) is trot
+        assert transition_table(build_gait_rm(Gait.PACE)) is not trot
+        assert transition_table(build_gait_rm(Gait.BOUND)) is not trot
 
 
 class TestComputeReward:
@@ -379,6 +393,30 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text("{ not json")
         with pytest.raises(RmFormatError):
+            load_rm(path)
+
+    @pytest.mark.parametrize("b", ["1e400", "-1e400", "NaN", "Infinity", "-Infinity"])
+    def test_non_finite_bonus_is_format_error(self, tmp_path, b):
+        text = dumps_rm(build_gait_rm(Gait.TROT)).replace('"b": 10000.0', f'"b": {b}', 1)
+        path = tmp_path / "bonus.json"
+        path.write_text(text)
+        with pytest.raises(RmFormatError, match=r"transitions\[0\]: 'b' must be finite"):
+            load_rm(path)
+
+    def test_number_too_large_for_a_float_is_format_error(self):
+        doc = machine_to_document(build_gait_rm(Gait.TROT))
+        doc["transitions"][0]["reward"]["b"] = 10**400
+        with pytest.raises(RmFormatError, match=r"transitions\[0\]: 'b' is too large"):
+            machine_from_document(doc)
+        doc = machine_to_document(build_gait_rm(Gait.TROT))
+        doc["params"]["w_e"] = -(10**400)
+        with pytest.raises(RmFormatError, match="params: w_e is too large"):
+            machine_from_document(doc)
+
+    def test_json_nested_too_deeply_is_format_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(RmFormatError, match="nested too deeply"):
             load_rm(path)
 
 

@@ -1,0 +1,63 @@
+"""The benchmark's tracer patches gaitrm functions at the names their
+callers look them up under (see ``perfbench/tracing.py``). This checks
+that every one of those names still exists and that ``restore`` puts
+each original object back."""
+
+import importlib.util
+from pathlib import Path
+
+import gaitrm.cli as cli
+import gaitrm.env as env
+import gaitrm.learn as learn
+import gaitrm.machine as machine
+import gaitrm.wrappers as wrappers
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+OWNERS = (
+    cli, env, learn, machine, wrappers,
+    wrappers.CrossProductWrapper, wrappers.NoGaitWrapper, wrappers.NaiveWrapper,
+    wrappers.Stack3Wrapper, wrappers.AugmentedWrapper,
+)
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_patch_point_exists_and_is_restored():
+    tracing = load_tracing()
+    before = [dict(vars(owner)) for owner in OWNERS]
+    tracer = tracing.Tracer("contract")
+    try:
+        tracing.instrument(tracer)
+        patched = {
+            (owner.__name__, attr): getattr(owner, attr)
+            for owner, old in zip(OWNERS, before)
+            for attr, value in vars(owner).items()
+            if old.get(attr) is not value
+        }
+    finally:
+        tracer.restore()
+    after = [dict(vars(owner)) for owner in OWNERS]
+
+    # Names the evaluation-waste and per-layer metrics depend on.
+    for name in (
+        ("gaitrm.learn", "transition_table"),
+        ("gaitrm.learn", "label"),
+        ("gaitrm.learn", "discretize"),
+        ("gaitrm.learn", "rollout"),
+        ("gaitrm.learn", "evaluate"),
+        ("gaitrm.wrappers", "transition_table"),
+        ("gaitrm.machine", "eval_guard"),
+        ("gaitrm.env", "step"),
+    ):
+        assert name in patched, name
+    assert all(hasattr(traced, "__wrapped__") for traced in patched.values())
+    for owner, old, new in zip(OWNERS, before, after):
+        assert new.keys() == old.keys(), owner
+        for attr, value in old.items():
+            assert new[attr] is value, (owner, attr)
