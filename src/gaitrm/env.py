@@ -23,6 +23,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .guards import ALL_LABEL_SETS, EMPTY_LABEL_SET, LabelSet, PROP_ORDER
 
@@ -84,8 +85,7 @@ class ToyEnvConfig:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class StepInfo:
+class StepInfo(NamedTuple):
     """Per-step physical outcome read by the reward functions.
 
     ``power`` is the precomputed mechanical power scalar; adapters with
@@ -102,8 +102,7 @@ class StepInfo:
     joint_velocities: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class ToyEnvState:
+class ToyEnvState(NamedTuple):
     """The settled contact pattern (the last command, none at rest) and
     its foot heights, the base position, the stumble flag and the step
     count."""
@@ -177,19 +176,9 @@ def step(
 
     foot_heights = _foot_heights(config.lift_height)[code]
     next_state = ToyEnvState(
-        airborne=ALL_LABEL_SETS[code],
-        foot_heights=foot_heights,
-        base_x=state.base_x + delta_x,
-        fallen=stumbled,
-        step_count=step_count,
+        ALL_LABEL_SETS[code], foot_heights, state.base_x + delta_x, stumbled, step_count
     )
-    info = StepInfo(
-        delta_x=delta_x,
-        power=power,
-        foot_heights=foot_heights,
-        terminated=terminated,
-        truncated=truncated,
-    )
+    info = StepInfo(delta_x, power, foot_heights, terminated, truncated)
     return next_state, info
 
 
@@ -199,17 +188,15 @@ def label(
 ) -> LabelSet:
     """Labeling function: a foot's proposition is true iff its height is
     at least ``clearance`` above the ground."""
-    if isinstance(source, StepInfo):
-        heights = source.foot_heights
-    elif isinstance(source, ToyEnvState):
-        heights = source.foot_heights
-    else:
-        heights = source
-    code = 0
-    for i, h in enumerate(heights):
-        if h >= clearance:
-            code |= 1 << i
-    return ALL_LABEL_SETS[code]
+    if isinstance(source, (StepInfo, ToyEnvState)):
+        source = source.foot_heights
+    fl, fr, bl, br = source
+    return ALL_LABEL_SETS[
+        (fl >= clearance)
+        | (fr >= clearance) << 1
+        | (bl >= clearance) << 2
+        | (br >= clearance) << 3
+    ]
 
 
 def observe(state: ToyEnvState, config: ToyEnvConfig) -> int:

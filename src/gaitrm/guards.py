@@ -71,7 +71,7 @@ class LabelSet:
 
     def bits(self) -> tuple[int, int, int, int]:
         """Per-foot membership flags in (FL, FR, BL, BR) order."""
-        return tuple(self.code >> i & 1 for i in range(4))  # type: ignore[return-value]
+        return _BITS[self.code]
 
     def __len__(self) -> int:
         return self.code.bit_count()
@@ -89,6 +89,10 @@ for _code, _ls in enumerate(ALL_LABEL_SETS):
 del _code, _ls
 
 EMPTY_LABEL_SET = ALL_LABEL_SETS[0]
+
+_BITS = tuple(
+    tuple(code >> i & 1 for i in range(4)) for code in range(NUM_LABEL_SETS)
+)
 
 
 class Guard:

@@ -11,10 +11,9 @@ mean distance travelled.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Union
+from typing import Any, Callable, NamedTuple, Union
 
 from .env import check_field_types, label
 from .machine import Gait, RewardMachine, transition_table
@@ -75,13 +74,8 @@ def greedy_action(q: QTable, key: int) -> int:
     row = q.get(key)
     if row is None:
         return 0
-    best = 0
-    best_value = row[0]
-    for a in range(1, NUM_ACTIONS):
-        if row[a] > best_value:
-            best = a
-            best_value = row[a]
-    return best
+    # max keeps the first item that no later item beats with ``>``.
+    return row.index(max(row))
 
 
 def q_update(
@@ -160,13 +154,26 @@ class ReferenceGaitPolicy:
 
 
 def as_policy_fn(policy: Policy, kind: WrapperKind) -> PolicyFn:
-    if isinstance(policy, dict):
-        return lambda obs, t: greedy_action(policy, discretize(obs, kind))
-    return policy
+    """A Q-table as its greedy policy; a function is returned as is.
+
+    The greedy action of each key is looked up once and remembered, so
+    the table must not change while the returned function is in use.
+    """
+    if not isinstance(policy, dict):
+        return policy
+    chosen: dict[int, int] = {}
+
+    def act(obs: Any, t: int) -> int:
+        key = discretize(obs, kind)
+        action = chosen.get(key)
+        if action is None:
+            action = chosen[key] = greedy_action(policy, key)
+        return action
+
+    return act
 
 
-@dataclass(frozen=True, slots=True)
-class RolloutStep:
+class RolloutStep(NamedTuple):
     """One logged environment step of a greedy rollout."""
 
     index: int
@@ -220,23 +227,23 @@ def rollout(
         total_reward += reward
         if table is not None:
             nxt, _ = table[(u.index, labels.code)]
-            transitioned = nxt != u
+            transitioned = nxt.index != u.index
             transitions += transitioned
             u = nxt
             rm_name = u.name
         steps.append(
             RolloutStep(
-                index=t + 1,
-                action=action if isinstance(action, int) else action.code,
-                foot_heights=info.foot_heights,
-                label_bits=labels.bits(),
-                delta_x=info.delta_x,
-                power=info.power,
-                reward=reward,
-                rm_state=rm_name,
-                transition=transitioned,
-                terminated=terminated,
-                truncated=truncated,
+                t + 1,
+                action if isinstance(action, int) else action.code,
+                info.foot_heights,
+                labels.bits(),
+                info.delta_x,
+                info.power,
+                reward,
+                rm_name,
+                transitioned,
+                terminated,
+                truncated,
             )
         )
         if terminated or truncated:
@@ -268,11 +275,12 @@ def evaluate(
     """Deploy a policy greedily for ``episodes`` full episodes."""
     if episodes <= 0:
         raise ValueError(f"episodes must be positive, got {episodes}")
+    policy_fn = as_policy_fn(policy, wrapper.kind)
     returns = 0.0
     transitions = 0
     distance = 0.0
     for _ in range(episodes):
-        run = rollout(policy, wrapper, tracker_rm)
+        run = rollout(policy_fn, wrapper, tracker_rm)
         returns += run.total_reward
         transitions += run.pose_transitions
         distance += run.distance
@@ -313,7 +321,7 @@ def _time_free(snap: tuple, kind: WrapperKind) -> tuple:
     """A wrapper snapshot with its time-dependent parts zeroed: step
     count and base position, and stack3's frame history."""
     env_state, *rest = snap
-    core = dataclasses.replace(env_state, base_x=0.0, step_count=0)
+    core = env_state._replace(base_x=0.0, step_count=0)
     if kind is WrapperKind.STACK3:
         rest[-1] = (0, 0, 0)
     return (core, *rest)

@@ -113,6 +113,16 @@ class RewardMachine:
         for t in self.transitions:
             if t.src not in known or t.dst not in known:
                 raise ValueError(f"transition endpoints not in state list: {t}")
+        # Hashed once: the cached tables keyed by machine would otherwise
+        # walk every state, transition and guard tree on each lookup.
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.states, self.initial, self.accepting, self.transitions)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def state_named(self, name: str) -> RmState:
         for s in self.states:

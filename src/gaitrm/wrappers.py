@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .env import StepInfo, ToyEnvConfig, ToyQuadrupedEnv, label
 from .guards import LabelSet, truth_table
@@ -37,8 +37,7 @@ class WrapperKind(enum.Enum):
     AUGMENTED = "augmented"
 
 
-@dataclass(frozen=True, slots=True)
-class CrossProductObservation:
+class CrossProductObservation(NamedTuple):
     """Base environment observation paired with the automaton state."""
 
     base: int

@@ -59,6 +59,8 @@ class TestLabelSet:
         assert labels.bits() == (1, 0, 0, 1)
         assert labels.code == 9
         assert len(labels) == 2
+        for code in range(16):
+            assert LabelSet.from_code(code).bits() == tuple(code >> i & 1 for i in range(4))
 
     def test_out_of_range_code_rejected(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,17 @@
 """Tests for tabular Q-learning, discretization and the evaluation
 protocol with its pose-transition count."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitrm.env import ToyEnvConfig, ToyQuadrupedEnv
 from gaitrm.guards import LabelSet, Prop
 from gaitrm.machine import Gait, build_gait_rm, machine_from_document
 from gaitrm.learn import (
+    NUM_ACTIONS,
     EvalMetrics,
     LearnerConfig,
     ReferenceGaitPolicy,
@@ -132,6 +137,99 @@ class TestGreedy:
         assert greedy_action({5: row}, 5) == 11
 
 
+def greedy_by_scan(q, key):
+    """The scan that defines ``greedy_action``: start at action 0 and
+    move to a later action only when its value is ``>`` the best so far."""
+    row = q.get(key)
+    if row is None:
+        return 0
+    best = 0
+    best_value = row[0]
+    for a in range(1, NUM_ACTIONS):
+        if row[a] > best_value:
+            best = a
+            best_value = row[a]
+    return best
+
+
+# Few distinct values so that rows are full of ties; NaN appears both as
+# one shared object and as fresh objects.
+Q_VALUES = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
+) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300)
+@given(st.lists(Q_VALUES, min_size=NUM_ACTIONS, max_size=NUM_ACTIONS))
+def test_greedy_action_matches_the_scan(row):
+    assert greedy_action({7: row}, 7) == greedy_by_scan({7: row}, 7)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [-0.0, 0.0] + [-1.0] * 14,
+        [0.0, -0.0] + [-1.0] * 14,
+        [math.nan, 1.0] + [0.0] * 14,
+        [1.0, math.nan, 2.0] + [0.0] * 13,
+        [-math.inf] * 15 + [math.inf],
+        [math.inf, 0.0, math.inf] + [0.0] * 13,
+    ],
+)
+def test_greedy_action_edge_rows_match_the_scan(row):
+    assert greedy_action({0: row}, 0) == greedy_by_scan({0: row}, 0)
+
+
+class TestRecords:
+    """The per-step records are immutable and print as they always have."""
+
+    @staticmethod
+    def records():
+        rm = build_gait_rm(Gait.TROT)
+        wrapper = CrossProductWrapper(rm=rm)
+        wrapper.reset()
+        obs, _, _, _, info = wrapper.step(9)
+        run = rollout(ReferenceGaitPolicy(Gait.TROT), CrossProductWrapper(rm=rm))
+        return {
+            "CrossProductObservation": obs,
+            "StepInfo": info,
+            "ToyEnvState": wrapper.env.state,
+            "RolloutStep": run.steps[1],
+        }
+
+    PINNED_REPRS = {
+        "CrossProductObservation": (
+            "CrossProductObservation(base=9, rm_state=RmState(index=1, name='q1'))"
+        ),
+        "StepInfo": (
+            "StepInfo(delta_x=0.05, power=10.0, foot_heights=(0.1, 0.0, 0.0, 0.1), "
+            "terminated=False, truncated=False, torques=None, joint_velocities=None)"
+        ),
+        "ToyEnvState": (
+            "ToyEnvState(airborne=LabelSet(code=9), foot_heights=(0.1, 0.0, 0.0, 0.1), "
+            "base_x=0.05, fallen=False, step_count=1)"
+        ),
+        "RolloutStep": (
+            "RolloutStep(index=2, action=9, foot_heights=(0.1, 0.0, 0.0, 0.1), "
+            "label_bits=(1, 0, 0, 1), delta_x=0.05, power=10.0, "
+            "reward=499.58374957879977, rm_state='q1', transition=True, "
+            "terminated=False, truncated=False)"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_REPRS))
+    def test_repr_is_pinned(self, name):
+        assert repr(self.records()[name]) == self.PINNED_REPRS[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_REPRS))
+    def test_fields_cannot_be_assigned(self, name):
+        record = self.records()[name]
+        hash(record)
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+
+
 class TestDiscretize:
     def test_cross_product_injective_across_rm_states(self):
         rm = build_gait_rm(Gait.TROT)
@@ -233,6 +331,33 @@ class TestEvaluateProtocol:
         rm = build_gait_rm(Gait.TROT)
         metrics = evaluate(ReferenceGaitPolicy(Gait.TROT), NaiveWrapper(rm=rm), episodes=3)
         assert metrics.episodes == 3
+
+    def test_greedy_actions_are_not_kept_between_evaluations(self):
+        wrapper = CrossProductWrapper(rm=build_gait_rm(Gait.TROT))
+        initial_key = discretize(wrapper.reset(), WrapperKind.CROSS_PRODUCT)
+        q = {initial_key: [0.0] * 16}
+        before = evaluate(q, wrapper, episodes=2)
+        q[initial_key][TROT_A.code] = 1.0
+        after = evaluate(q, wrapper, episodes=2)
+        assert before.mean_pose_transitions == 0.0
+        assert after.mean_pose_transitions == 1.0
+        assert after == evaluate(q, wrapper.clone(), episodes=2)
+
+    @pytest.mark.parametrize("kind", list(WrapperKind), ids=lambda k: k.value)
+    def test_evaluate_is_the_mean_of_separate_rollouts(self, kind):
+        rm = build_gait_rm(Gait.PACE)
+        config = LearnerConfig(total_steps=4000, eval_every=4000, seed=3)
+        q, _ = train(make_wrapper(kind, rm=rm), config, tracker_rm=rm)
+        wrapper = make_wrapper(kind, rm=rm)
+        n = 3
+        runs = [rollout(q, wrapper, tracker_rm=rm) for _ in range(n)]
+        expected = EvalMetrics(
+            mean_return=sum(r.total_reward for r in runs) / n,
+            mean_pose_transitions=sum(r.pose_transitions for r in runs) / n,
+            mean_distance=sum(r.distance for r in runs) / n,
+            episodes=n,
+        )
+        assert evaluate(q, wrapper, tracker_rm=rm, episodes=n) == expected
 
 
 class TestTrain:

@@ -239,6 +239,15 @@ class TestRmStep:
         assert transition_table(build_gait_rm(Gait.PACE)) is not trot
         assert transition_table(build_gait_rm(Gait.BOUND)) is not trot
 
+    @pytest.mark.parametrize("gait", list(Gait), ids=lambda g: g.value)
+    def test_built_and_loaded_machines_hash_equal(self, gait):
+        built = build_gait_rm(gait)
+        loaded, _ = load_rm(MACHINES_DIR / f"{gait.value}.json")
+        assert loaded is not built and loaded == built
+        fields = (built.states, built.initial, built.accepting, built.transitions)
+        assert hash(loaded) == hash(built) == hash(fields)
+        assert transition_table(loaded) is transition_table(built)
+
 
 class TestComputeReward:
     def test_walk_all_zero(self):
