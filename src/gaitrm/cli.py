@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import statistics
@@ -57,6 +58,8 @@ class CliSemanticError(Exception):
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
@@ -72,7 +75,7 @@ def _write_csv(
         lines.append(f"# manifest: {manifest}")
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(_fmt, row)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -522,6 +525,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaitrm",
@@ -532,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a machine file for determinism/totality")
     p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
 
     def add_run_flags(p: argparse.ArgumentParser, with_learner: bool) -> None:
         p.add_argument(
@@ -557,13 +560,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed count N (runs 0..N-1) or explicit comma list, e.g. 0,3,7",
     )
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a policy for 10 greedy episodes")
     add_run_flags(p, with_learner=False)
     p.add_argument("--policy", required=True, help="policy CSV or reference:<gait>")
     p.add_argument("--episodes", type=int, default=10)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("diagram", help="write a foot-contact diagram for a policy")
     add_run_flags(p, with_learner=False)
@@ -571,20 +572,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--out", required=True, help="diagram CSV path")
     p.add_argument("--trajectory", default=None, help="also write a full step log here")
-    p.set_defaults(func=cmd_diagram)
 
     p = sub.add_parser("compare", help="tabulate completed campaigns in a directory")
     p.add_argument("dir")
-    p.set_defaults(func=cmd_compare)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up per call, not bound into the cached parser, so a patched cmd_* runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except CliSemanticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC

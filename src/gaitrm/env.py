@@ -136,14 +136,6 @@ def reset(config: ToyEnvConfig) -> ToyEnvState:
     )
 
 
-def is_terminated(state: ToyEnvState, config: ToyEnvConfig) -> bool:
-    return state.fallen and config.stumble_terminates
-
-
-def is_truncated(state: ToyEnvState, config: ToyEnvConfig) -> bool:
-    return state.step_count >= config.episode_length
-
-
 def _action_code(action: int | LabelSet) -> int:
     if isinstance(action, LabelSet):
         return action.code
@@ -157,7 +149,9 @@ def step(
 ) -> tuple[ToyEnvState, StepInfo]:
     """Apply one target contact pattern; returns the settled state and
     the step's physical outcome."""
-    if is_terminated(state, config) or is_truncated(state, config):
+    if (
+        state.fallen and config.stumble_terminates
+    ) or state.step_count >= config.episode_length:
         raise EpisodeFinishedError(
             "episode already finished; reset before stepping again"
         )

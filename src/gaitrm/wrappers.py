@@ -194,6 +194,7 @@ class CrossProductWrapper(GaitEnvWrapper):
         self.rm = rm
         self.params = params if params is not None else RewardParams()
         self._table = transition_table(rm)
+        self._accepting = tuple(u in rm.accepting for u in rm.states)
         self._u = rm.initial
 
     @property
@@ -217,7 +218,7 @@ class CrossProductWrapper(GaitEnvWrapper):
         dst, spec = self._table[(self._u.index, labels.code)]
         reward = compute_reward(spec, info, self.params)
         self._u = dst
-        terminated = info.terminated or dst in self.rm.accepting
+        terminated = info.terminated or self._accepting[dst.index]
         return (
             CrossProductObservation(base, dst),
             reward,
@@ -303,7 +304,7 @@ class _LatchRewardWrapper(GaitEnvWrapper):
     def _reset_observation(self, base: int) -> Any:
         return base
 
-    def _step_observation(self, base: int) -> Any:
+    def _step_observation(self, base: int, labels: LabelSet) -> Any:
         return base
 
     def reset(self) -> Any:
@@ -318,7 +319,7 @@ class _LatchRewardWrapper(GaitEnvWrapper):
             self._shape, self._latch, labels.code, info, self.params
         )
         return (
-            self._step_observation(base),
+            self._step_observation(base, labels),
             reward,
             info.terminated,
             info.truncated,
@@ -357,7 +358,7 @@ class Stack3Wrapper(_LatchRewardWrapper):
         self._stack = (base, base, base)
         return self._stack
 
-    def _step_observation(self, base: int) -> tuple[int, int, int]:
+    def _step_observation(self, base: int, labels: LabelSet) -> tuple[int, int, int]:
         self._stack = (self._stack[1], self._stack[2], base)
         return self._stack
 
@@ -381,14 +382,13 @@ class AugmentedWrapper(_LatchRewardWrapper):
     kind = WrapperKind.AUGMENTED
 
     def _reset_observation(self, base: int) -> tuple[int, int, int, int, int]:
-        return self._labelled(base)
+        labels = label(self.env.state, self.config.clearance)
+        return self._step_observation(base, labels)
 
-    def _step_observation(self, base: int) -> tuple[int, int, int, int, int]:
-        return self._labelled(base)
-
-    def _labelled(self, base: int) -> tuple[int, int, int, int, int]:
-        bits = label(self.env.state, self.config.clearance).bits()
-        return (base, *bits)
+    def _step_observation(
+        self, base: int, labels: LabelSet
+    ) -> tuple[int, int, int, int, int]:
+        return (base, *labels.bits())
 
 
 def make_wrapper(

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from gaitrm.cli import load_policy, main
+from gaitrm import __version__, cli
+from gaitrm.cli import build_parser, load_policy, main
 from gaitrm.guards import LabelSet, Prop
 from gaitrm.machine import Gait, build_gait_rm, machine_to_document, transition_table
 from helpers import deepest_trot_document, nested_guard
@@ -505,3 +506,67 @@ class TestPolicyIo:
         assert q
         for row in q.values():
             assert len(row) == 16
+
+
+class TestParserReuse:
+    """One parser serves every call in a process; no call sees another's
+    flags, and the command run is the one on the module at call time."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_episodes_do_not_carry_over(self, capsys):
+        flags = ["eval", "--policy", "reference:trot", "--gait", "trot"]
+        code, out, _ = run(capsys, *flags, "--episodes", "3")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[0] == "3"
+        code, out, _ = run(capsys, *flags)
+        assert code == 0
+        assert out.splitlines()[1].split(",")[0] == "10"
+
+    def test_trajectory_does_not_carry_over(self, capsys, tmp_path):
+        flags = ["diagram", "--policy", "reference:trot", "--gait", "trot"]
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        code, *_ = run(capsys, *flags, "--out", str(first / "d.csv"),
+                       "--trajectory", str(first / "t.csv"))
+        assert code == 0
+        assert (first / "t.csv").is_file()
+        (first / "t.csv").unlink()
+        code, *_ = run(capsys, *flags, "--out", str(second / "d.csv"))
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.rglob("*.csv")) == ["d.csv", "d.csv"]
+
+    def test_command_patched_after_the_first_call_runs(self, capsys, monkeypatch):
+        trot = str(MACHINES_DIR / "trot.json")
+        code, *_ = run(capsys, "validate", trot)
+        assert code == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args.file) or 7)
+        code, out, _ = run(capsys, "validate", trot)
+        assert code == 7
+        assert seen == [trot]
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [["eval", "--gait", "trot"], ["simulate"], ["diagram", "--steps", "x"]],
+        ids=["missing_required", "unknown_command", "bad_int"],
+    )
+    def test_usage_error_exits_2_on_every_call(self, capsys, argv):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "usage: gaitrm" in capsys.readouterr().err
+
+    def test_version_and_help_on_every_call(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == f"{__version__}\n"
+            with pytest.raises(SystemExit) as exc:
+                main(["eval", "--help"])
+            assert exc.value.code == 0
+            assert "--episodes" in capsys.readouterr().out
