@@ -58,8 +58,6 @@ class CliSemanticError(Exception):
 
 
 def _fmt(value) -> str:
-    if type(value) is float:
-        return repr(value)
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
