@@ -29,7 +29,6 @@ from .learn import (
     QTable,
     ReferenceGaitPolicy,
     evaluate,
-    key_space_size,
     rollout,
     train,
 )
@@ -43,7 +42,7 @@ from .machine import (
     loads_json,
     validate,
 )
-from .wrappers import WrapperKind, make_wrapper
+from .wrappers import GaitEnvWrapper, WrapperKind, make_wrapper
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -177,19 +176,19 @@ def load_policy(path: str | Path) -> QTable:
     return q
 
 
-def _resolve_policy(spec: str, kind: WrapperKind):
+def _resolve_policy(spec: str, wrapper: GaitEnvWrapper):
     """A policy argument is a Q-table CSV path or ``reference:<gait>``.
     A Q-table must fit the key space of the wrapper it runs under."""
     if spec.startswith("reference:"):
         gait = Gait(spec.split(":", 1)[1])
         return ReferenceGaitPolicy(gait)
     policy = load_policy(spec)
-    size = key_space_size(kind)
+    size = wrapper.key_space
     oversized = [k for k in policy if not 0 <= k < size]
     if oversized:
         raise CliSemanticError(
             f"policy keys {oversized[:3]}... do not fit wrapper "
-            f"{kind.value} (key space {size})"
+            f"{wrapper.kind.value} (key space {size})"
         )
     return policy
 
@@ -325,8 +324,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     kind = WrapperKind(args.wrapper)
     env_config, _, params = _load_run_configs(args)
     _, rm = _resolve_machine(args.gait, kind, params)
-    policy = _resolve_policy(args.policy, kind)
     wrapper = make_wrapper(kind, ToyQuadrupedEnv(env_config), rm, params)
+    policy = _resolve_policy(args.policy, wrapper)
     metrics = evaluate(policy, wrapper, tracker_rm=rm, episodes=args.episodes)
     print("episodes,mean_return,mean_pose_transitions,mean_distance")
     print(
@@ -377,8 +376,8 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     gait, rm = _resolve_machine(args.gait, kind, params)
     if rm is None:
         raise CliSemanticError("diagram requires --gait for the automaton column")
-    policy = _resolve_policy(args.policy, kind)
     wrapper = make_wrapper(kind, ToyQuadrupedEnv(env_config), rm, params)
+    policy = _resolve_policy(args.policy, wrapper)
     run = rollout(policy, wrapper, tracker_rm=rm)
 
     rows = []

@@ -11,13 +11,14 @@ mean distance travelled.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Union
 
-from .env import check_field_types, label
-from .machine import Gait, RewardMachine, transition_table
-from .wrappers import GaitEnvWrapper, WrapperKind, base_pattern
+from .env import ToyEnvConfig, ToyQuadrupedEnv, check_field_types, label
+from .machine import Gait, RewardMachine, RewardParams, transition_table
+from .wrappers import WRAPPER_CLASSES, GaitEnvWrapper, WrapperKind, base_pattern
 
 NUM_ACTIONS = 16
 
@@ -101,30 +102,9 @@ def q_update(
     return q
 
 
-_KEY_SPACE_SIZES = {
-    WrapperKind.CROSS_PRODUCT: 16 * 2,  # contact pattern x two gait states
-    WrapperKind.NO_GAIT: 16,
-    WrapperKind.NAIVE: 16,
-    WrapperKind.STACK3: 16**3,
-    WrapperKind.AUGMENTED: 16 * 16,
-}
-
-
-def key_space_size(kind: WrapperKind) -> int:
-    return _KEY_SPACE_SIZES[kind]
-
-
 def discretize(observation: Any, kind: WrapperKind) -> int:
-    """Injective observation -> table key encoding per wrapper kind."""
-    if kind is WrapperKind.CROSS_PRODUCT:
-        return observation.base + 16 * observation.rm_state.index
-    if kind is WrapperKind.STACK3:
-        a, b, c = observation
-        return a + 16 * b + 256 * c
-    if kind is WrapperKind.AUGMENTED:
-        base, fl, fr, bl, br = observation
-        return base + 16 * (fl | fr << 1 | bl << 2 | br << 3)
-    return observation
+    """Table key of an observation: the wrapper class's own ``key``."""
+    return WRAPPER_CLASSES[kind].key(observation)
 
 
 PolicyFn = Callable[[Any, int], int]
@@ -360,21 +340,23 @@ def _compile_steps(wrapper: GaitEnvWrapper) -> StepTable:
     )
 
 
-_STEP_TABLES: dict[tuple, StepTable] = {}
-_STEP_TABLES_MAX = 64
+@functools.lru_cache(maxsize=64)
+def _cached_step_table(
+    cls: type[GaitEnvWrapper],
+    config: ToyEnvConfig,
+    rm: RewardMachine | None,
+    params: RewardParams,
+) -> StepTable:
+    return _compile_steps(cls(ToyQuadrupedEnv(config), rm, params))
 
 
 def step_table(wrapper: GaitEnvWrapper) -> StepTable:
     """The compiled step table for the wrapper's kind, environment
-    config, machine and reward params, built on a clone at first use
-    and cached in-process."""
-    cache_key = (type(wrapper), wrapper.config, wrapper.machine, wrapper.params)
-    table = _STEP_TABLES.get(cache_key)
-    if table is None:
-        if len(_STEP_TABLES) >= _STEP_TABLES_MAX:
-            del _STEP_TABLES[next(iter(_STEP_TABLES))]
-        table = _STEP_TABLES[cache_key] = _compile_steps(wrapper.clone())
-    return table
+    config, machine and reward params, built on a fresh wrapper at first
+    use and cached in-process."""
+    return _cached_step_table(
+        type(wrapper), wrapper.config, wrapper.machine, wrapper.params
+    )
 
 
 def train(

@@ -16,11 +16,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Union
+from typing import IO, Union
 
-if TYPE_CHECKING:
-    from .env import StepInfo
-
+from .env import StepInfo, check_field_types
 from .guards import (
     ALL_LABEL_SETS,
     Guard,
@@ -88,6 +86,7 @@ class RewardParams:
             raise ValueError(f"energy weight must be finite and >= 0, got {self.w_e}")
         if not math.isfinite(self.bonus_b):
             raise ValueError(f"bonus_b must be finite, got {self.bonus_b}")
+        check_field_types(self)
 
 
 @dataclass(frozen=True)

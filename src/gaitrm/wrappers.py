@@ -144,13 +144,27 @@ def base_pattern(observation: Any) -> int:
 
 
 class GaitEnvWrapper:
-    """Shared wrapper shell: owns the environment instance and the
-    wrapper-specific reward/observation state. One instance per run."""
+    """Shared wrapper shell: owns the environment instance, the machine,
+    the reward params and the wrapper-specific reward/observation state.
+    One instance per run.
+
+    Each wrapper kind also owns its observation encoding: ``key`` maps an
+    observation injectively into ``range(key_space)``, the Q-table keys."""
 
     kind: WrapperKind
+    key_space = 16
 
-    def __init__(self, env: ToyQuadrupedEnv | None = None):
+    def __init__(
+        self,
+        env: ToyQuadrupedEnv | None = None,
+        rm: RewardMachine | None = None,
+        params: RewardParams | None = None,
+    ):
+        if rm is None:
+            raise ValueError(f"{type(self).__name__} requires a reward machine")
         self.env = env if env is not None else ToyQuadrupedEnv()
+        self.rm = rm
+        self.params = params if params is not None else RewardParams()
 
     @property
     def config(self) -> ToyEnvConfig:
@@ -158,7 +172,11 @@ class GaitEnvWrapper:
 
     @property
     def machine(self) -> RewardMachine | None:
-        return None
+        return self.rm
+
+    @staticmethod
+    def key(observation: Any) -> int:
+        return observation
 
     def reset(self) -> Any:
         raise NotImplementedError
@@ -173,7 +191,8 @@ class GaitEnvWrapper:
         raise NotImplementedError
 
     def clone(self) -> "GaitEnvWrapper":
-        raise NotImplementedError
+        """A fresh wrapper of the same kind, config, machine and params."""
+        return type(self)(ToyQuadrupedEnv(self.config), self.rm, self.params)
 
 
 class CrossProductWrapper(GaitEnvWrapper):
@@ -182,24 +201,17 @@ class CrossProductWrapper(GaitEnvWrapper):
 
     kind = WrapperKind.CROSS_PRODUCT
 
-    def __init__(
-        self,
-        env: ToyQuadrupedEnv | None = None,
-        rm: RewardMachine | None = None,
-        params: RewardParams | None = None,
-    ):
-        super().__init__(env)
-        if rm is None:
-            raise ValueError("cross-product wrapper requires a reward machine")
-        self.rm = rm
-        self.params = params if params is not None else RewardParams()
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        rm = self.rm
+        self.key_space = 16 * len(rm.states)
         self._table = transition_table(rm)
         self._accepting = tuple(u in rm.accepting for u in rm.states)
         self._u = rm.initial
 
-    @property
-    def machine(self) -> RewardMachine:
-        return self.rm
+    @staticmethod
+    def key(observation: CrossProductObservation) -> int:
+        return observation.base + 16 * observation.rm_state.index
 
     @property
     def rm_state(self) -> RmState:
@@ -235,11 +247,6 @@ class CrossProductWrapper(GaitEnvWrapper):
         self.env.set_state(state)
         self._u = u
 
-    def clone(self) -> "CrossProductWrapper":
-        return CrossProductWrapper(
-            ToyQuadrupedEnv(self.config), self.rm, self.params
-        )
-
 
 class NoGaitWrapper(GaitEnvWrapper):
     """Plain walking reward on the base observation; no machine."""
@@ -249,9 +256,12 @@ class NoGaitWrapper(GaitEnvWrapper):
     def __init__(
         self,
         env: ToyQuadrupedEnv | None = None,
+        rm: RewardMachine | None = None,
         params: RewardParams | None = None,
     ):
-        super().__init__(env)
+        # The walk reward reads no machine, so none is required or kept.
+        self.env = env if env is not None else ToyQuadrupedEnv()
+        self.rm = None
         self.params = params if params is not None else RewardParams()
         self._walk = Walk()
 
@@ -269,9 +279,6 @@ class NoGaitWrapper(GaitEnvWrapper):
     def restore(self, snap: tuple) -> None:
         self.env.set_state(snap[0])
 
-    def clone(self) -> "NoGaitWrapper":
-        return NoGaitWrapper(ToyQuadrupedEnv(self.config), self.params)
-
 
 class _LatchRewardWrapper(GaitEnvWrapper):
     """Shared core for the baselines that score with the milestone-latch
@@ -279,23 +286,10 @@ class _LatchRewardWrapper(GaitEnvWrapper):
     wrappers is non-Markovian: the reward depends on the latch, which the
     agent never sees."""
 
-    def __init__(
-        self,
-        env: ToyQuadrupedEnv | None = None,
-        rm: RewardMachine | None = None,
-        params: RewardParams | None = None,
-    ):
-        super().__init__(env)
-        if rm is None:
-            raise ValueError(f"{type(self).__name__} requires a reward machine")
-        self.rm = rm
-        self.params = params if params is not None else RewardParams()
-        self._shape = gait_shape(rm)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._shape = gait_shape(self.rm)
         self._latch = MilestoneLatch.NONE
-
-    @property
-    def machine(self) -> RewardMachine:
-        return self.rm
 
     @property
     def latch(self) -> MilestoneLatch:
@@ -334,9 +328,6 @@ class _LatchRewardWrapper(GaitEnvWrapper):
         self.env.set_state(state)
         self._latch = latch
 
-    def clone(self) -> "_LatchRewardWrapper":
-        return type(self)(ToyQuadrupedEnv(self.config), self.rm, self.params)
-
 
 class NaiveWrapper(_LatchRewardWrapper):
     """Base observation only; the gait reward stays non-Markovian."""
@@ -349,6 +340,12 @@ class Stack3Wrapper(_LatchRewardWrapper):
     chronological order, padded by repeating the reset observation."""
 
     kind = WrapperKind.STACK3
+    key_space = 16**3
+
+    @staticmethod
+    def key(observation: tuple[int, int, int]) -> int:
+        a, b, c = observation
+        return a + 16 * b + 256 * c
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -380,6 +377,12 @@ class AugmentedWrapper(_LatchRewardWrapper):
     """
 
     kind = WrapperKind.AUGMENTED
+    key_space = 16 * 16
+
+    @staticmethod
+    def key(observation: tuple[int, int, int, int, int]) -> int:
+        base, fl, fr, bl, br = observation
+        return base + 16 * (fl | fr << 1 | bl << 2 | br << 3)
 
     def _reset_observation(self, base: int) -> tuple[int, int, int, int, int]:
         labels = label(self.env.state, self.config.clearance)
@@ -391,21 +394,22 @@ class AugmentedWrapper(_LatchRewardWrapper):
         return (base, *labels.bits())
 
 
+WRAPPER_CLASSES: dict[WrapperKind, type[GaitEnvWrapper]] = {
+    cls.kind: cls
+    for cls in (
+        CrossProductWrapper,
+        NoGaitWrapper,
+        NaiveWrapper,
+        Stack3Wrapper,
+        AugmentedWrapper,
+    )
+}
+
+
 def make_wrapper(
     kind: WrapperKind | str,
     env: ToyQuadrupedEnv | None = None,
     rm: RewardMachine | None = None,
     params: RewardParams | None = None,
 ) -> GaitEnvWrapper:
-    if isinstance(kind, str):
-        kind = WrapperKind(kind)
-    if kind is WrapperKind.NO_GAIT:
-        return NoGaitWrapper(env, params)
-    if kind is WrapperKind.CROSS_PRODUCT:
-        return CrossProductWrapper(env, rm, params)
-    cls = {
-        WrapperKind.NAIVE: NaiveWrapper,
-        WrapperKind.STACK3: Stack3Wrapper,
-        WrapperKind.AUGMENTED: AugmentedWrapper,
-    }[kind]
-    return cls(env, rm, params)
+    return WRAPPER_CLASSES[WrapperKind(kind)](env, rm, params)

@@ -185,7 +185,9 @@ class TestTrain:
         [({"env": {"episode_length": 2.5}}, "episode_length"),
          ({"env": {"stumble_terminates": "no"}}, "stumble_terminates"),
          ({"env": {"clearance": float("nan")}}, "clearance"),
-         ({"reward": {"w_e": float("nan")}}, "energy weight")],
+         ({"reward": {"w_e": float("nan")}}, "energy weight"),
+         ({"reward": {"bonus_b": True}}, "bonus_b"),
+         ({"reward": {"w_e": False}}, "w_e")],
     )
     def test_bad_config_value_is_semantic_error(self, capsys, tmp_path, doc, field):
         config = tmp_path / "config.json"

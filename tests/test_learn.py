@@ -19,16 +19,17 @@ from gaitrm.learn import (
     epsilon_at,
     evaluate,
     greedy_action,
-    key_space_size,
     q_update,
     rollout,
     train,
 )
 from gaitrm.wrappers import (
+    AugmentedWrapper,
     CrossProductObservation,
     CrossProductWrapper,
     NaiveWrapper,
     NoGaitWrapper,
+    Stack3Wrapper,
     WrapperKind,
     make_wrapper,
 )
@@ -237,13 +238,13 @@ class TestDiscretize:
         key_a = discretize(CrossProductObservation(9, q0), WrapperKind.CROSS_PRODUCT)
         key_b = discretize(CrossProductObservation(9, q1), WrapperKind.CROSS_PRODUCT)
         assert key_a != key_b
-        assert {key_a, key_b} <= set(range(key_space_size(WrapperKind.CROSS_PRODUCT)))
+        assert {key_a, key_b} <= set(range(CrossProductWrapper(rm=rm).key_space))
 
     def test_naive_same_pattern_same_key(self):
         assert discretize(9, WrapperKind.NAIVE) == discretize(9, WrapperKind.NAIVE)
 
     def test_stack3_bound_and_injectivity(self):
-        assert key_space_size(WrapperKind.STACK3) == 4096
+        assert Stack3Wrapper.key_space == 4096
         seen = set()
         for a in range(16):
             for b in range(16):
@@ -255,7 +256,7 @@ class TestDiscretize:
 
     def test_augmented_bound(self):
         key = discretize((9, 1, 0, 0, 1), WrapperKind.AUGMENTED)
-        assert 0 <= key < key_space_size(WrapperKind.AUGMENTED) == 256
+        assert 0 <= key < AugmentedWrapper.key_space == 256
 
 
 class TestEvaluateProtocol:

@@ -310,9 +310,11 @@ class TestRewardParams:
         {"gamma": 1.0},
         {"w_e": -0.1},
         {"bonus_b": float("inf")},
+        {"bonus_b": True},
+        {"w_e": False},
     ])
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises((ValueError, TypeError)):
             RewardParams(**kwargs)
 
 

@@ -61,3 +61,34 @@ def test_every_patch_point_exists_and_is_restored():
         assert new.keys() == old.keys(), owner
         for attr, value in old.items():
             assert new[attr] is value, (owner, attr)
+
+
+def test_traced_layers_are_called():
+    """Each traced name the evaluation-waste metrics read must still be
+    on the path ``train`` and ``evaluate`` take, or its metric reads 0.
+    The no-gait wrapper neither labels steps nor reads a transition
+    table, so those two layers count only ``learn``'s own calls, and its
+    step table is compiled up front so that only evaluation's calls are
+    counted."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer("contract")
+    rm = machine.build_gait_rm(machine.Gait.TROT)
+    config = env.ToyEnvConfig(episode_length=5)
+    wrapper = wrappers.NoGaitWrapper(env.ToyQuadrupedEnv(config))
+    learner = learn.LearnerConfig(total_steps=10, eval_every=10, eval_episodes=1)
+    learn.step_table(wrapper)
+    try:
+        tracing.instrument(tracer)
+        q, _ = learn.train(wrapper, learner, tracker_rm=rm)
+        learn.evaluate(q, wrapper, tracker_rm=rm, episodes=1)
+    finally:
+        tracer.restore()
+    for name in (
+        "learn.discretize",
+        "env.label",
+        "machine.transition_table",
+        "learn.rollout",
+        "learn.evaluate",
+        "env.step",
+    ):
+        assert tracer.calls[name] > 0, name

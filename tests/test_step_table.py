@@ -18,8 +18,18 @@ from gaitrm.learn import (
     step_table,
     train,
 )
-from gaitrm.machine import Gait, build_gait_rm
-from gaitrm.wrappers import WrapperKind, make_wrapper
+from gaitrm.guards import Not, conjunction_for
+from gaitrm.machine import (
+    Gait,
+    RewardMachine,
+    RmState,
+    SwitchPoseBonus,
+    Transition,
+    Walk,
+    build_gait_rm,
+    validate,
+)
+from gaitrm.wrappers import CrossProductWrapper, WrapperKind, make_wrapper
 
 CONFIGS = {
     "default": ToyEnvConfig(),
@@ -48,6 +58,7 @@ def test_table_agrees_with_wrapper_step_on_every_reachable_state(kind, gait, con
     wrapper = make(kind, gait, config)
     table = step_table(wrapper)
     assert discretize(wrapper.reset(), kind) == table.initial_key
+    assert table.initial_key in range(wrapper.key_space)
 
     # Breadth-first over the wrapper's own reachable states, each paired
     # with the table state the table says it is in.
@@ -66,6 +77,7 @@ def test_table_agrees_with_wrapper_step_on_every_reachable_state(kind, gait, con
                 reward, terminated, discretize(obs, kind)
             ), (state, action)
             assert truncated == (depth + 1 >= config.episode_length)
+            assert next_key in range(wrapper.key_space)
             compared += 1
             core = real_core(wrapper.snapshot(), kind)
             nxt = table.next_state[i]
@@ -84,6 +96,42 @@ def test_table_agrees_with_wrapper_step_on_every_reachable_state(kind, gait, con
     assert compared == len(live) * NUM_ACTIONS
     assert live <= set(table_state_of.values())
     assert n_states <= 48
+
+
+def three_state_trot_rm() -> RewardMachine:
+    """q0 -A-> q1 -B-> q2 -A-> q0 on the trot poses, self-loops elsewhere."""
+    q = tuple(RmState(i, f"q{i}") for i in range(3))
+    pose_a = conjunction_for(Gait.TROT.pose_a)
+    pose_b = conjunction_for(Gait.TROT.pose_b)
+    edges = ((q[0], q[1], pose_a), (q[1], q[2], pose_b), (q[2], q[0], pose_a))
+    transitions = []
+    for src, dst, guard in edges:
+        transitions.append(Transition(src, guard, dst, SwitchPoseBonus(10.0)))
+        transitions.append(Transition(src, Not(guard), src, Walk()))
+    return RewardMachine(q, q[0], frozenset(), tuple(transitions))
+
+
+def test_cross_product_key_space_counts_machine_states():
+    rm = three_state_trot_rm()
+    assert validate(rm).valid
+    wrapper = CrossProductWrapper(ToyQuadrupedEnv(), rm)
+    assert wrapper.key_space == 48
+    keys = {wrapper.key(wrapper.reset())}
+    frontier = [wrapper.snapshot()]
+    seen = {frontier[0]}
+    while frontier:
+        snap = frontier.pop()
+        for action in range(NUM_ACTIONS):
+            wrapper.restore(snap)
+            obs, _, terminated, _, _ = wrapper.step(action)
+            keys.add(wrapper.key(obs))
+            core = wrapper.snapshot()
+            core = (core[0]._replace(base_x=0.0, step_count=0), core[1])
+            if not terminated and core not in seen:
+                seen.add(core)
+                frontier.append(core)
+    assert keys <= set(range(48))
+    assert max(keys) >= 32  # the third machine state is reached
 
 
 def test_stack3_key_recurrence_equals_discretize_over_all_triples():

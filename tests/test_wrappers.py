@@ -8,6 +8,7 @@ import pytest
 
 from gaitrm.env import StepInfo, ToyEnvConfig, ToyQuadrupedEnv
 from gaitrm.guards import LabelSet, Prop
+from gaitrm.learn import step_table
 from gaitrm.machine import (
     Gait,
     RewardMachine,
@@ -312,7 +313,7 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("gait", list(Gait))
     def test_random_full_episodes(self, gait):
-        rng = random.Random(hash(gait.value) & 0xFFFF)
+        rng = random.Random(gait.value)
         compared = check_equivalence_rollouts(gait, episodes=50, rng=rng, stumble_free=True)
         assert compared == 50 * 100
         check_equivalence_rollouts(gait, episodes=100, rng=rng, stumble_free=False)
@@ -332,6 +333,9 @@ class TestWrapperShell:
 
     def test_no_gait_has_no_machine(self):
         assert make_wrapper("no_gait").machine is None
+        given = make_wrapper("no_gait", rm=build_gait_rm(Gait.TROT))
+        assert given.machine is None
+        assert step_table(given) is step_table(make_wrapper("no_gait"))
 
     def test_snapshot_restore_round_trip(self):
         rm = build_gait_rm(Gait.TROT)
@@ -345,17 +349,24 @@ class TestWrapperShell:
         assert obs_a == obs_b
         assert r_a == r_b
 
-    def test_clone_is_fresh_and_independent(self):
+    @pytest.mark.parametrize("kind", list(WrapperKind), ids=lambda k: k.value)
+    def test_clone_is_fresh_and_independent(self, kind):
         rm = build_gait_rm(Gait.TROT)
-        wrapper = NaiveWrapper(ToyQuadrupedEnv(ToyEnvConfig(episode_length=7)), rm)
+        params = RewardParams(w_e=0.002)
+        config = ToyEnvConfig(episode_length=7)
+        wrapper = make_wrapper(kind, ToyQuadrupedEnv(config), rm, params)
         wrapper.reset()
         wrapper.step(9)
         twin = wrapper.clone()
-        assert twin.config.episode_length == 7
-        assert twin.reset() == 0
+        assert type(twin) is type(wrapper)
+        assert (twin.config, twin.machine, twin.params) == (
+            config, wrapper.machine, params
+        )
+        assert twin.env is not wrapper.env
+        assert base_pattern(twin.reset()) == 0
         # original undisturbed by the twin's episode
         obs, *_ = wrapper.step(6)
-        assert obs == 6
+        assert base_pattern(obs) == 6
 
     def test_base_pattern_across_observation_kinds(self):
         rm = build_gait_rm(Gait.TROT)
