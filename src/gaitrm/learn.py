@@ -12,6 +12,8 @@ mean distance travelled.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Union
@@ -371,8 +373,20 @@ def train(
     wrapper itself is only cloned. Returns the learned table and a curve
     of periodic greedy evaluations. Fully determined by (config.seed,
     configs).
+
+    At an evaluation point where every key's greedy action is the same
+    as at the last evaluated point (same key set included), the curve
+    repeats that point's metrics instead of calling ``evaluate`` again.
+    This is exact: ``evaluate`` reads the table only through
+    ``greedy_action`` on the keys its rollouts visit, an unseen key acts
+    0, and every rollout starts from a deterministic ``reset``.
+    ``evaluate`` itself still rolls out every one of its episodes.
     """
     rng = random.Random(config.seed)
+    random_, randrange = rng.random, rng.randrange
+    # Bound once per call; the benchmark's tracer patches the module
+    # names before ``train`` runs, so it still sees every call.
+    greedy, update = greedy_action, q_update
     q: QTable = {}
     eval_wrapper = wrapper.clone()
     curve: list[tuple[int, EvalMetrics]] = []
@@ -382,31 +396,49 @@ def train(
         table.next_state, table.reward, table.terminated, table.key
     )
     stacked = table.stacked
+    n_actions = NUM_ACTIONS
+    initial_key = table.initial_key
     episode_length = wrapper.config.episode_length
-    state, key, episode_step = 0, table.initial_key, 0
-    for t in range(config.total_steps):
-        eps = epsilon_at(config, t)
-        if rng.random() < eps:
-            action = rng.randrange(NUM_ACTIONS)
-        else:
-            action = greedy_action(q, key)
-        i = state * NUM_ACTIONS + action
-        terminated = terminals[i]
-        next_key = keys[i] + (key >> 4 if stacked else 0)
-        # The task is continuing; the 100-action cutoff is a rollout
-        # boundary, not a terminal state, so bootstrap across it.
-        # Treating truncation as terminal makes cycle values depend on
-        # the hidden time-to-cutoff and destabilizes the greedy policy.
-        q_update(q, key, action, rewards[i], next_key, terminated, config)
-        episode_step += 1
-        if terminated or episode_step >= episode_length:
-            state, key, episode_step = 0, table.initial_key, 0
-        else:
-            state, key = next_states[i], next_key
-        step_number = t + 1
-        if step_number % config.eval_every == 0 or step_number == config.total_steps:
+    total = config.total_steps
+    # Epsilon is constant from the first step at or past the horizon.
+    decay_end = math.ceil(config.epsilon_fraction * total)
+    epsilons = itertools.chain(
+        map(functools.partial(epsilon_at, config), range(decay_end)),
+        itertools.repeat(epsilon_at(config, decay_end)),
+    )
+    eval_points = list(range(config.eval_every, total, config.eval_every))
+    if total:
+        eval_points.append(total)
+
+    state, key, episode_step = 0, initial_key, 0
+    done_steps = 0
+    evaluated_policy: dict[int, int] | None = None
+    metrics: EvalMetrics | None = None
+    for step_number in eval_points:
+        for eps in itertools.islice(epsilons, step_number - done_steps):
+            if random_() < eps:
+                action = randrange(n_actions)
+            else:
+                action = greedy(q, key)
+            i = state * n_actions + action
+            terminated = terminals[i]
+            next_key = keys[i] + (key >> 4 if stacked else 0)
+            # The task is continuing; the 100-action cutoff is a rollout
+            # boundary, not a terminal state, so bootstrap across it.
+            # Treating truncation as terminal makes cycle values depend on
+            # the hidden time-to-cutoff and destabilizes the greedy policy.
+            update(q, key, action, rewards[i], next_key, terminated, config)
+            episode_step += 1
+            if terminated or episode_step >= episode_length:
+                state, key, episode_step = 0, initial_key, 0
+            else:
+                state, key = next_states[i], next_key
+        done_steps = step_number
+        policy = {k: greedy(q, k) for k in q}
+        if policy != evaluated_policy:
             metrics = evaluate(
                 q, eval_wrapper, tracker_rm=tracker_rm, episodes=config.eval_episodes
             )
-            curve.append((step_number, metrics))
+            evaluated_policy = policy
+        curve.append((step_number, metrics))
     return q, curve

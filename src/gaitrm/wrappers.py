@@ -36,6 +36,10 @@ class WrapperKind(enum.Enum):
     STACK3 = "stack3"
     AUGMENTED = "augmented"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with equality; ``Enum.__hash__`` hashes the name in Python.
+    __hash__ = object.__hash__
+
 
 class CrossProductObservation(NamedTuple):
     """Base environment observation paired with the automaton state."""

@@ -1,5 +1,6 @@
-"""Shared test utilities: random guard generation and the exhaustive
-reward-equivalence walker used by both the fast suite and acceptance."""
+"""Shared test utilities: random guard generation, the exhaustive
+reward-equivalence walker used by both the fast suite and acceptance,
+and the reference Q-learner that steps a wrapper itself."""
 
 from __future__ import annotations
 
@@ -7,6 +8,15 @@ import random
 
 from gaitrm.env import ToyEnvConfig, ToyQuadrupedEnv
 from gaitrm.guards import MAX_GUARD_DEPTH, And, Guard, Lit, Not, Or, Prop
+from gaitrm.learn import (
+    NUM_ACTIONS,
+    LearnerConfig,
+    discretize,
+    epsilon_at,
+    evaluate,
+    greedy_action,
+    q_update,
+)
 from gaitrm.machine import Gait, RewardMachine, build_gait_rm, machine_to_document
 from gaitrm.wrappers import (
     CrossProductWrapper,
@@ -130,3 +140,31 @@ def check_equivalence_rollouts(
             assert (term, trunc) == (term_n, trunc_n)
             done = term or trunc
     return compared
+
+
+def train_by_stepping(wrapper, config: LearnerConfig) -> tuple[dict, list]:
+    """Q-learning that steps the wrapper itself and calls ``evaluate``
+    afresh at every evaluation point: the definition the table-driven
+    ``train`` must reproduce bit for bit, Q-table and curve."""
+    rng = random.Random(config.seed)
+    q: dict = {}
+    eval_wrapper = wrapper.clone()
+    curve = []
+    key = discretize(wrapper.reset(), wrapper.kind)
+    for t in range(config.total_steps):
+        if rng.random() < epsilon_at(config, t):
+            action = rng.randrange(NUM_ACTIONS)
+        else:
+            action = greedy_action(q, key)
+        obs, reward, terminated, truncated, _ = wrapper.step(action)
+        next_key = discretize(obs, wrapper.kind)
+        q_update(q, key, action, reward, next_key, terminated, config)
+        if terminated or truncated:
+            key = discretize(wrapper.reset(), wrapper.kind)
+        else:
+            key = next_key
+        step_number = t + 1
+        if step_number % config.eval_every == 0 or step_number == config.total_steps:
+            metrics = evaluate(q, eval_wrapper, episodes=config.eval_episodes)
+            curve.append((step_number, metrics))
+    return q, curve

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaitrm.learn as learn
 from gaitrm.env import ToyEnvConfig, ToyQuadrupedEnv
 from gaitrm.guards import LabelSet, Prop
 from gaitrm.machine import Gait, build_gait_rm, machine_from_document
@@ -33,7 +34,7 @@ from gaitrm.wrappers import (
     WrapperKind,
     make_wrapper,
 )
-from helpers import deepest_trot_document
+from helpers import deepest_trot_document, train_by_stepping
 
 TROT_A = LabelSet.of(Prop.FL, Prop.BR)
 TROT_B = LabelSet.of(Prop.FR, Prop.BL)
@@ -401,6 +402,24 @@ class TestTrain:
         )
         assert [step for step, _ in curve] == [2000, 4000, 5500]
         assert all(isinstance(m, EvalMetrics) for _, m in curve)
+
+    def test_unchanged_greedy_policy_reuses_its_evaluation(self, monkeypatch):
+        rm = build_gait_rm(Gait.TROT)
+        config = LearnerConfig(total_steps=20_000, eval_every=1_000)
+        results = []
+
+        def counting_evaluate(*args, **kwargs):
+            results.append(evaluate(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(learn, "evaluate", counting_evaluate)
+        q, curve = train(CrossProductWrapper(ToyQuadrupedEnv(), rm), config)
+        monkeypatch.undo()
+        assert len(results) < len(curve)
+        assert curve[0][1] is results[0]
+        assert (q, curve) == train_by_stepping(
+            CrossProductWrapper(ToyQuadrupedEnv(), rm), config
+        )
 
     def test_cross_product_learns_the_gait_quickly(self):
         rm = build_gait_rm(Gait.TROT)

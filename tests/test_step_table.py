@@ -3,21 +3,10 @@ wrappers they are compiled from over the whole finite reachable space."""
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from gaitrm.env import ToyEnvConfig, ToyQuadrupedEnv
-from gaitrm.learn import (
-    NUM_ACTIONS,
-    LearnerConfig,
-    discretize,
-    epsilon_at,
-    greedy_action,
-    q_update,
-    step_table,
-    train,
-)
+from gaitrm.learn import NUM_ACTIONS, LearnerConfig, discretize, step_table, train
 from gaitrm.guards import Not, conjunction_for
 from gaitrm.machine import (
     Gait,
@@ -30,6 +19,7 @@ from gaitrm.machine import (
     validate,
 )
 from gaitrm.wrappers import CrossProductWrapper, WrapperKind, make_wrapper
+from helpers import train_by_stepping
 
 CONFIGS = {
     "default": ToyEnvConfig(),
@@ -155,31 +145,28 @@ def test_tables_are_cached_per_configuration():
     assert step_table(naive) is not step_table(other)
 
 
-def train_by_stepping(wrapper, config: LearnerConfig):
-    """Q-learning that steps the wrapper itself: the definition the
-    table-driven ``train`` must reproduce bit for bit."""
-    rng = random.Random(config.seed)
-    q: dict = {}
-    key = discretize(wrapper.reset(), wrapper.kind)
-    for t in range(config.total_steps):
-        if rng.random() < epsilon_at(config, t):
-            action = rng.randrange(NUM_ACTIONS)
-        else:
-            action = greedy_action(q, key)
-        obs, reward, terminated, truncated, _ = wrapper.step(action)
-        next_key = discretize(obs, wrapper.kind)
-        q_update(q, key, action, reward, next_key, terminated, config)
-        if terminated or truncated:
-            key = discretize(wrapper.reset(), wrapper.kind)
-        else:
-            key = next_key
-    return q
+# The learner configs ``train`` must match the reference on: one full
+# evaluation, then the schedule's boundary cases.
+LEARNERS = (
+    LearnerConfig(total_steps=3000, eval_every=3000, seed=5),
+    # eval_every does not divide total_steps
+    LearnerConfig(total_steps=2500, eval_every=1000, seed=5),
+    # total_steps smaller than eval_every
+    LearnerConfig(total_steps=700, eval_every=1000, seed=5),
+    # epsilon horizon 1000.5 is not an integer
+    LearnerConfig(total_steps=2001, eval_every=500, epsilon_fraction=0.5, seed=5),
+    # horizon 1.5: epsilon is 0.37 at step 1 and 0.05 from step 2 on
+    LearnerConfig(total_steps=2000, eval_every=500, epsilon_fraction=0.00075, seed=5),
+    LearnerConfig(total_steps=2000, eval_every=500, epsilon_fraction=1.0, seed=5),
+    LearnerConfig(
+        total_steps=2000, eval_every=500, epsilon_start=0.2, epsilon_end=0.2, seed=5
+    ),
+)
 
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 @pytest.mark.parametrize("kind", list(WrapperKind), ids=lambda k: k.value)
 def test_train_matches_stepping_the_wrapper(kind, config_name):
-    config = LearnerConfig(total_steps=3000, eval_every=3000, seed=5)
-    wrapper = make(kind, Gait.TROT, CONFIGS[config_name])
-    q, _ = train(wrapper.clone(), config)
-    assert q == train_by_stepping(wrapper, config)
+    for config in LEARNERS:
+        wrapper = make(kind, Gait.TROT, CONFIGS[config_name])
+        assert train(wrapper.clone(), config) == train_by_stepping(wrapper, config), config
