@@ -16,7 +16,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Union
+from typing import Any, Callable, Iterator, NamedTuple, Union
 
 from .env import ToyEnvConfig, ToyQuadrupedEnv, check_field_types, label
 from .machine import Gait, RewardMachine, RewardParams, transition_table
@@ -61,14 +61,26 @@ class LearnerConfig:
             raise ValueError(f"eval_episodes must be positive, got {self.eval_episodes}")
 
 
-def epsilon_at(config: LearnerConfig, step: int) -> float:
-    """Linear decay from epsilon_start to epsilon_end over the first
-    ``epsilon_fraction`` of total steps, constant afterwards."""
+def epsilon_schedule(config: LearnerConfig) -> Iterator[float]:
+    """Epsilon for learner steps 0, 1, 2, ...: linear from
+    epsilon_start towards epsilon_end over the first ``epsilon_fraction``
+    of total steps, then constant.
+
+    Step ``t`` gets ``start + (end - start) * min(1.0, t / horizon)``.
+    Past the horizon that is ``start + (end - start)``, which need not
+    equal ``epsilon_end`` bit for bit; with no horizon (zero total
+    steps) it is ``epsilon_end``.
+    """
+    start, end = config.epsilon_start, config.epsilon_end
     horizon = config.epsilon_fraction * config.total_steps
-    if horizon <= 0:
-        return config.epsilon_end
-    frac = min(1.0, step / horizon)
-    return config.epsilon_start + (config.epsilon_end - config.epsilon_start) * frac
+    held = end
+    if horizon > 0:
+        span = end - start
+        # t < ceil(horizon) is exactly t / horizon < 1.
+        for t in range(math.ceil(horizon)):
+            yield start + span * (t / horizon)
+        held = start + span
+    yield from itertools.repeat(held)
 
 
 def greedy_action(q: QTable, key: int) -> int:
@@ -140,6 +152,9 @@ def as_policy_fn(policy: Policy, kind: WrapperKind) -> PolicyFn:
 
     The greedy action of each key is looked up once and remembered, so
     the table must not change while the returned function is in use.
+    The returned function's ``chosen`` attribute is that memo: a dict
+    from every key the function has been asked about to the action it
+    gave, an unseen key's 0 included.
     """
     if not isinstance(policy, dict):
         return policy
@@ -152,6 +167,7 @@ def as_policy_fn(policy: Policy, kind: WrapperKind) -> PolicyFn:
             action = chosen[key] = greedy_action(policy, key)
         return action
 
+    act.chosen = chosen
     return act
 
 
@@ -374,16 +390,18 @@ def train(
     of periodic greedy evaluations. Fully determined by (config.seed,
     configs).
 
-    At an evaluation point where every key's greedy action is the same
-    as at the last evaluated point (same key set included), the curve
-    repeats that point's metrics instead of calling ``evaluate`` again.
-    This is exact: ``evaluate`` reads the table only through
-    ``greedy_action`` on the keys its rollouts visit, an unseen key acts
-    0, and every rollout starts from a deterministic ``reset``.
-    ``evaluate`` itself still rolls out every one of its episodes.
+    At an evaluation point where every key the last evaluation's
+    rollouts visited still has the greedy action they took, the curve
+    repeats that evaluation's metrics instead of calling ``evaluate``
+    again; keys no rollout visited may change freely. This is exact:
+    every rollout starts from the same deterministic ``reset`` and acts
+    only through the greedy action of the key it observes (an unseen key
+    acts 0), so step by step it visits the same keys, takes the same
+    actions and sums the same floats. ``evaluate`` itself still rolls out
+    every one of its episodes.
     """
     rng = random.Random(config.seed)
-    random_, randrange = rng.random, rng.randrange
+    random_, getrandbits = rng.random, rng.getrandbits
     # Bound once per call; the benchmark's tracer patches the module
     # names before ``train`` runs, so it still sees every call.
     greedy, update = greedy_action, q_update
@@ -397,27 +415,28 @@ def train(
     )
     stacked = table.stacked
     n_actions = NUM_ACTIONS
+    # ``rng.randrange(n_actions)`` draws ``getrandbits`` of this many bits
+    # until the result is below ``n_actions``; drawing the same way here
+    # keeps the random stream and skips its per-call argument checks.
+    action_bits = n_actions.bit_length()
     initial_key = table.initial_key
     episode_length = wrapper.config.episode_length
     total = config.total_steps
-    # Epsilon is constant from the first step at or past the horizon.
-    decay_end = math.ceil(config.epsilon_fraction * total)
-    epsilons = itertools.chain(
-        map(functools.partial(epsilon_at, config), range(decay_end)),
-        itertools.repeat(epsilon_at(config, decay_end)),
-    )
+    epsilons = epsilon_schedule(config)
     eval_points = list(range(config.eval_every, total, config.eval_every))
     if total:
         eval_points.append(total)
 
     state, key, episode_step = 0, initial_key, 0
     done_steps = 0
-    evaluated_policy: dict[int, int] | None = None
+    visited: dict[int, int] | None = None
     metrics: EvalMetrics | None = None
     for step_number in eval_points:
         for eps in itertools.islice(epsilons, step_number - done_steps):
             if random_() < eps:
-                action = randrange(n_actions)
+                action = getrandbits(action_bits)
+                while action >= n_actions:
+                    action = getrandbits(action_bits)
             else:
                 action = greedy(q, key)
             i = state * n_actions + action
@@ -434,11 +453,12 @@ def train(
             else:
                 state, key = next_states[i], next_key
         done_steps = step_number
-        policy = {k: greedy(q, k) for k in q}
-        if policy != evaluated_policy:
+        if visited is None or any(greedy(q, k) != a for k, a in visited.items()):
+            policy_fn = as_policy_fn(q, wrapper.kind)
             metrics = evaluate(
-                q, eval_wrapper, tracker_rm=tracker_rm, episodes=config.eval_episodes
+                policy_fn, eval_wrapper, tracker_rm=tracker_rm,
+                episodes=config.eval_episodes,
             )
-            evaluated_policy = policy
+            visited = policy_fn.chosen
         curve.append((step_number, metrics))
     return q, curve

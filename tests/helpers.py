@@ -12,7 +12,6 @@ from gaitrm.learn import (
     NUM_ACTIONS,
     LearnerConfig,
     discretize,
-    epsilon_at,
     evaluate,
     greedy_action,
     q_update,
@@ -142,17 +141,32 @@ def check_equivalence_rollouts(
     return compared
 
 
-def train_by_stepping(wrapper, config: LearnerConfig) -> tuple[dict, list]:
+def epsilon_closed_form(config: LearnerConfig, t: int) -> float:
+    """Epsilon at learner step ``t`` written out from its definition, as
+    the oracle for ``learn.epsilon_schedule``: linear from start to end
+    over ``epsilon_fraction * total_steps`` steps, then held."""
+    s, e = config.epsilon_start, config.epsilon_end
+    h = config.epsilon_fraction * config.total_steps
+    if h <= 0:
+        return e
+    return s + (e - s) * min(1.0, t / h)
+
+
+def train_by_stepping(
+    wrapper, config: LearnerConfig, greedy_maps: list | None = None
+) -> tuple[dict, list]:
     """Q-learning that steps the wrapper itself and calls ``evaluate``
     afresh at every evaluation point: the definition the table-driven
-    ``train`` must reproduce bit for bit, Q-table and curve."""
+    ``train`` must reproduce bit for bit, Q-table and curve. With
+    ``greedy_maps``, the greedy action of every key in Q is appended to
+    it at each evaluation point."""
     rng = random.Random(config.seed)
     q: dict = {}
     eval_wrapper = wrapper.clone()
     curve = []
     key = discretize(wrapper.reset(), wrapper.kind)
     for t in range(config.total_steps):
-        if rng.random() < epsilon_at(config, t):
+        if rng.random() < epsilon_closed_form(config, t):
             action = rng.randrange(NUM_ACTIONS)
         else:
             action = greedy_action(q, key)
@@ -167,4 +181,6 @@ def train_by_stepping(wrapper, config: LearnerConfig) -> tuple[dict, list]:
         if step_number % config.eval_every == 0 or step_number == config.total_steps:
             metrics = evaluate(q, eval_wrapper, episodes=config.eval_episodes)
             curve.append((step_number, metrics))
+            if greedy_maps is not None:
+                greedy_maps.append({k: greedy_action(q, k) for k in q})
     return q, curve

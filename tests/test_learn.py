@@ -2,9 +2,11 @@
 protocol with its pose-transition count."""
 
 import math
+import random
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gaitrm.learn as learn
@@ -17,7 +19,7 @@ from gaitrm.learn import (
     LearnerConfig,
     ReferenceGaitPolicy,
     discretize,
-    epsilon_at,
+    epsilon_schedule,
     evaluate,
     greedy_action,
     q_update,
@@ -34,7 +36,7 @@ from gaitrm.wrappers import (
     WrapperKind,
     make_wrapper,
 )
-from helpers import deepest_trot_document, train_by_stepping
+from helpers import deepest_trot_document, epsilon_closed_form, train_by_stepping
 
 TROT_A = LabelSet.of(Prop.FL, Prop.BR)
 TROT_B = LabelSet.of(Prop.FR, Prop.BL)
@@ -107,22 +109,71 @@ class TestChainConvergence:
         assert optimal[0] == pytest.approx(0.99)
 
 
+def schedule(config, n):
+    """The first ``n`` epsilons of ``config``'s schedule."""
+    return list(islice(epsilon_schedule(config), n))
+
+
 class TestEpsilonSchedule:
     def test_linear_to_floor(self):
         config = LearnerConfig(total_steps=1000)
-        assert epsilon_at(config, 0) == 1.0
-        assert epsilon_at(config, 250) == pytest.approx(0.525)
-        assert epsilon_at(config, 500) == pytest.approx(0.05)
-        assert epsilon_at(config, 999) == pytest.approx(0.05)
+        eps = schedule(config, 1000)
+        assert eps[0] == 1.0
+        assert eps[250] == pytest.approx(0.525)
+        assert eps[500] == pytest.approx(0.05)
+        assert eps[999] == pytest.approx(0.05)
 
     def test_zero_total_steps(self):
         config = LearnerConfig(total_steps=0)
-        assert epsilon_at(config, 0) == 0.05
+        assert schedule(config, 1) == [0.05]
 
     def test_valid_range_everywhere(self):
         config = LearnerConfig(total_steps=777)
-        for t in range(777):
-            assert 0.0 <= epsilon_at(config, t) <= 1.0
+        assert all(0.0 <= eps <= 1.0 for eps in schedule(config, 777))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            LearnerConfig(),
+            LearnerConfig(total_steps=2_001, epsilon_fraction=0.5),
+            # Horizon 3.0000000000000004: four decaying steps, not three.
+            LearnerConfig(total_steps=10, epsilon_fraction=0.3),
+            LearnerConfig(total_steps=1_000, epsilon_fraction=1.0),
+            LearnerConfig(total_steps=1_000, epsilon_start=0.3, epsilon_end=0.3),
+            LearnerConfig(total_steps=1_000, epsilon_start=0.1, epsilon_end=0.7),
+            LearnerConfig(total_steps=0),
+        ],
+        ids=["default", "2001x0.5", "10x0.3", "fraction1", "flat", "rising", "zero"],
+    )
+    def test_matches_the_closed_form_exactly(self, config):
+        n = config.total_steps + 3
+        assert schedule(config, n) == [epsilon_closed_form(config, t) for t in range(n)]
+
+
+def test_exploring_draw_is_randrange():
+    """``train`` draws an exploring action as ``getrandbits(5)`` retried
+    while it is 16 or more. That is the algorithm CPython's
+    ``Random.randrange(16)`` runs (``_randbelow_with_getrandbits`` with
+    ``k = (16).bit_length()``), so the random stream is unchanged; this
+    test pins that algorithm."""
+    config = LearnerConfig(total_steps=100_000)
+    for seed in (0, 1, 7, 2**31 - 1):
+        eps = epsilon_schedule(config)
+        rng_bits, rng_range = random.Random(seed), random.Random(seed)
+        by_bits, by_range = [], []
+        for e in islice(eps, config.total_steps):
+            if rng_bits.random() < e:
+                action = rng_bits.getrandbits(5)
+                while action >= NUM_ACTIONS:
+                    action = rng_bits.getrandbits(5)
+                by_bits.append(action)
+            else:
+                by_bits.append(None)
+            by_range.append(
+                rng_range.randrange(NUM_ACTIONS) if rng_range.random() < e else None
+            )
+        assert by_bits == by_range
+        assert rng_bits.random() == rng_range.random()
 
 
 class TestGreedy:
@@ -421,6 +472,42 @@ class TestTrain:
             CrossProductWrapper(ToyQuadrupedEnv(), rm), config
         )
 
+    def test_reuse_reads_only_the_keys_evaluation_visited(self, monkeypatch):
+        rm = build_gait_rm(Gait.TROT)
+        config = LearnerConfig(total_steps=20_000, eval_every=1_000)
+        updates = 0
+        evaluated_at = []
+
+        def counting_update(*args):
+            nonlocal updates
+            updates += 1
+            return q_update(*args)
+
+        def recording_evaluate(*args, **kwargs):
+            evaluated_at.append(updates)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(learn, "q_update", counting_update)
+        monkeypatch.setattr(learn, "evaluate", recording_evaluate)
+        q, curve = train(Stack3Wrapper(ToyQuadrupedEnv(), rm), config)
+        monkeypatch.undo()
+        greedy_maps = []
+        assert (q, curve) == train_by_stepping(
+            Stack3Wrapper(ToyQuadrupedEnv(), rm), config, greedy_maps
+        )
+        points = [step for step, _ in curve]
+        assert len(evaluated_at) < len(points)
+        # A reused point whose full greedy map differs from the last
+        # evaluated point's: a whole-table rule would have evaluated it.
+        reused_past_a_change = 0
+        last = None
+        for point, greedy_map in zip(points, greedy_maps):
+            if point in evaluated_at:
+                last = greedy_map
+            elif greedy_map != last:
+                reused_past_a_change += 1
+        assert reused_past_a_change >= 1
+
     def test_cross_product_learns_the_gait_quickly(self):
         rm = build_gait_rm(Gait.TROT)
         wrapper = CrossProductWrapper(ToyQuadrupedEnv(), rm)
@@ -448,6 +535,40 @@ class TestTrain:
         config = LearnerConfig(total_steps=15_000, eval_every=5_000, seed=0)
         _, curve = train(wrapper, config)
         assert curve[-1][1].mean_distance > 0.0
+
+
+@st.composite
+def learners(draw):
+    """Small learner configs with at most about ten evaluation points,
+    since the reference evaluates afresh at every one."""
+    total_steps = draw(st.integers(0, 1_500))
+    return LearnerConfig(
+        alpha=draw(st.sampled_from([0.1, 0.5, 1.0])),
+        epsilon_start=draw(st.floats(0.0, 1.0)),
+        epsilon_end=draw(st.floats(0.0, 1.0)),
+        epsilon_fraction=draw(st.floats(0.01, 1.0)),
+        total_steps=total_steps,
+        eval_every=draw(st.integers(max(1, total_steps // 8), 1_000)),
+        eval_episodes=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=learners(), gait=st.sampled_from(list(Gait)))
+# Non-integer horizon (3.0000000000000004), eval_every not dividing
+# total_steps, and epsilon rising.
+@example(LearnerConfig(total_steps=10, epsilon_fraction=0.3, eval_every=3), Gait.TROT)
+@example(
+    LearnerConfig(total_steps=1_001, epsilon_start=0.1, epsilon_end=0.9, eval_every=300),
+    Gait.PACE,
+)
+def test_train_matches_stepping_on_random_configs(config, gait):
+    rm = build_gait_rm(gait)
+    for kind in WrapperKind:
+        assert train(make_wrapper(kind, rm=rm), config) == train_by_stepping(
+            make_wrapper(kind, rm=rm), config
+        )
 
 
 def scripted(codes):
