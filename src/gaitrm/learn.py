@@ -15,6 +15,7 @@ import functools
 import itertools
 import math
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple, Union
 
@@ -154,7 +155,8 @@ def as_policy_fn(policy: Policy, kind: WrapperKind) -> PolicyFn:
     the table must not change while the returned function is in use.
     The returned function's ``chosen`` attribute is that memo: a dict
     from every key the function has been asked about to the action it
-    gave, an unseen key's 0 included.
+    gave, an unseen key's 0 included. ``rollout`` reads it to decide
+    when a later rollout of the same wrapper may reuse this one.
     """
     if not isinstance(policy, dict):
         return policy
@@ -195,6 +197,12 @@ class Rollout:
     distance: float
 
 
+# Each wrapper's last Q-table rollout: (setup, the ``chosen`` memo of the
+# policy it ran, the Rollout, the wrapper snapshot it ended in). An entry
+# dies with its wrapper.
+_last_rollouts: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def rollout(
     policy: Policy,
     wrapper: GaitEnvWrapper,
@@ -205,9 +213,31 @@ def rollout(
     Pose transitions are counted by stepping ``tracker_rm`` (default:
     the wrapper's machine) from its initial state on each step's labels,
     whatever the policy observed; with no machine they stay 0.
+
+    A Q-table rollout is remembered per wrapper. The next Q-table
+    rollout of that wrapper under the same env config, machine, reward
+    params and tracker machine, while every key the remembered rollout
+    visited still has the greedy action taken there, returns the same
+    ``Rollout`` without stepping, and restores the wrapper to the
+    snapshot that rollout ended in. This is exact: every rollout starts
+    from the same deterministic ``reset`` and acts only through the
+    greedy action of the key it observes (an unseen key acts 0), so step
+    by step it visits the same keys, takes the same actions and sums the
+    same floats. A callable policy may keep state, so it always steps.
     """
     if tracker_rm is None:
         tracker_rm = wrapper.machine
+    cached = isinstance(policy, dict)
+    if cached:
+        setup = (wrapper.config, wrapper.machine, wrapper.params, tracker_rm)
+        last = _last_rollouts.get(wrapper)
+        if (
+            last is not None
+            and last[0] == setup
+            and all(greedy_action(policy, k) == a for k, a in last[1].items())
+        ):
+            wrapper.restore(last[3])
+            return last[2]
     table = transition_table(tracker_rm) if tracker_rm is not None else None
     u = tracker_rm.initial if tracker_rm is not None else None
     policy_fn = as_policy_fn(policy, wrapper.kind)
@@ -246,12 +276,15 @@ def rollout(
         )
         if terminated or truncated:
             break
-    return Rollout(
+    run = Rollout(
         steps=tuple(steps),
         total_reward=total_reward,
         pose_transitions=transitions,
         distance=wrapper.env.state.base_x,
     )
+    if cached:
+        _last_rollouts[wrapper] = (setup, policy_fn.chosen, run, wrapper.snapshot())
+    return run
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,15 +303,17 @@ def evaluate(
     tracker_rm: RewardMachine | None = None,
     episodes: int = 10,
 ) -> EvalMetrics:
-    """Deploy a policy greedily for ``episodes`` full episodes."""
+    """Deploy a policy greedily for ``episodes`` full episodes: one
+    ``rollout`` per episode, summed in episode order. A Q-table's
+    episodes after the first reuse the first's rollout (see
+    ``rollout``), unless the table changes under them."""
     if episodes <= 0:
         raise ValueError(f"episodes must be positive, got {episodes}")
-    policy_fn = as_policy_fn(policy, wrapper.kind)
     returns = 0.0
     transitions = 0
     distance = 0.0
     for _ in range(episodes):
-        run = rollout(policy_fn, wrapper, tracker_rm)
+        run = rollout(policy, wrapper, tracker_rm)
         returns += run.total_reward
         transitions += run.pose_transitions
         distance += run.distance
@@ -390,15 +425,10 @@ def train(
     of periodic greedy evaluations. Fully determined by (config.seed,
     configs).
 
-    At an evaluation point where every key the last evaluation's
-    rollouts visited still has the greedy action they took, the curve
-    repeats that evaluation's metrics instead of calling ``evaluate``
-    again; keys no rollout visited may change freely. This is exact:
-    every rollout starts from the same deterministic ``reset`` and acts
-    only through the greedy action of the key it observes (an unseen key
-    acts 0), so step by step it visits the same keys, takes the same
-    actions and sums the same floats. ``evaluate`` itself still rolls out
-    every one of its episodes.
+    Every evaluation point calls ``evaluate`` on one clone that lives
+    for the whole run, so a point whose greedy path is unchanged since
+    the clone last stepped reuses that rollout (see ``rollout``); keys
+    off that path may change freely.
     """
     rng = random.Random(config.seed)
     random_, getrandbits = rng.random, rng.getrandbits
@@ -429,8 +459,6 @@ def train(
 
     state, key, episode_step = 0, initial_key, 0
     done_steps = 0
-    visited: dict[int, int] | None = None
-    metrics: EvalMetrics | None = None
     for step_number in eval_points:
         for eps in itertools.islice(epsilons, step_number - done_steps):
             if random_() < eps:
@@ -453,12 +481,8 @@ def train(
             else:
                 state, key = next_states[i], next_key
         done_steps = step_number
-        if visited is None or any(greedy(q, k) != a for k, a in visited.items()):
-            policy_fn = as_policy_fn(q, wrapper.kind)
-            metrics = evaluate(
-                policy_fn, eval_wrapper, tracker_rm=tracker_rm,
-                episodes=config.eval_episodes,
-            )
-            visited = policy_fn.chosen
+        metrics = evaluate(
+            q, eval_wrapper, tracker_rm=tracker_rm, episodes=config.eval_episodes
+        )
         curve.append((step_number, metrics))
     return q, curve

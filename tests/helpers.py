@@ -1,22 +1,29 @@
 """Shared test utilities: random guard generation, the exhaustive
 reward-equivalence walker used by both the fast suite and acceptance,
-and the reference Q-learner that steps a wrapper itself."""
+and the reference Q-learner and evaluation that step a wrapper
+themselves."""
 
 from __future__ import annotations
 
 import random
 
-from gaitrm.env import ToyEnvConfig, ToyQuadrupedEnv
+from gaitrm.env import ToyEnvConfig, ToyQuadrupedEnv, label
 from gaitrm.guards import MAX_GUARD_DEPTH, And, Guard, Lit, Not, Or, Prop
 from gaitrm.learn import (
     NUM_ACTIONS,
+    EvalMetrics,
     LearnerConfig,
     discretize,
-    evaluate,
     greedy_action,
     q_update,
 )
-from gaitrm.machine import Gait, RewardMachine, build_gait_rm, machine_to_document
+from gaitrm.machine import (
+    Gait,
+    RewardMachine,
+    build_gait_rm,
+    machine_to_document,
+    transition_table,
+)
 from gaitrm.wrappers import (
     CrossProductWrapper,
     MilestoneLatch,
@@ -152,17 +159,53 @@ def epsilon_closed_form(config: LearnerConfig, t: int) -> float:
     return s + (e - s) * min(1.0, t / h)
 
 
+def evaluate_by_stepping(
+    q: dict, wrapper, tracker_rm: RewardMachine | None, episodes: int
+) -> EvalMetrics:
+    """``evaluate`` of a Q-table written out without ``rollout``: each
+    episode steps a fresh clone of the wrapper greedily and counts pose
+    transitions on ``tracker_rm`` (default: the wrapper's machine), and
+    the floats are summed in ``evaluate``'s order."""
+    if tracker_rm is None:
+        tracker_rm = wrapper.machine
+    returns, transitions, distance = 0.0, 0, 0.0
+    for _ in range(episodes):
+        episode = wrapper.clone()
+        obs = episode.reset()
+        u = tracker_rm.initial if tracker_rm is not None else None
+        total_reward = 0.0
+        for _ in range(episode.config.episode_length):
+            action = greedy_action(q, discretize(obs, episode.kind))
+            obs, reward, terminated, truncated, info = episode.step(action)
+            total_reward += reward
+            if tracker_rm is not None:
+                code = label(info, episode.config.clearance).code
+                nxt, _ = transition_table(tracker_rm)[(u.index, code)]
+                transitions += nxt.index != u.index
+                u = nxt
+            if terminated or truncated:
+                break
+        returns += total_reward
+        distance += episode.env.state.base_x
+    return EvalMetrics(
+        mean_return=returns / episodes,
+        mean_pose_transitions=transitions / episodes,
+        mean_distance=distance / episodes,
+        episodes=episodes,
+    )
+
+
 def train_by_stepping(
     wrapper, config: LearnerConfig, greedy_maps: list | None = None
 ) -> tuple[dict, list]:
-    """Q-learning that steps the wrapper itself and calls ``evaluate``
-    afresh at every evaluation point: the definition the table-driven
-    ``train`` must reproduce bit for bit, Q-table and curve. With
+    """Q-learning that steps the wrapper itself and evaluates afresh, by
+    ``evaluate_by_stepping``, at every evaluation point: the definition
+    the table-driven ``train`` must reproduce bit for bit, Q-table and
+    curve. With
     ``greedy_maps``, the greedy action of every key in Q is appended to
     it at each evaluation point."""
     rng = random.Random(config.seed)
     q: dict = {}
-    eval_wrapper = wrapper.clone()
     curve = []
     key = discretize(wrapper.reset(), wrapper.kind)
     for t in range(config.total_steps):
@@ -179,7 +222,7 @@ def train_by_stepping(
             key = next_key
         step_number = t + 1
         if step_number % config.eval_every == 0 or step_number == config.total_steps:
-            metrics = evaluate(q, eval_wrapper, episodes=config.eval_episodes)
+            metrics = evaluate_by_stepping(q, wrapper, None, config.eval_episodes)
             curve.append((step_number, metrics))
             if greedy_maps is not None:
                 greedy_maps.append({k: greedy_action(q, k) for k in q})

@@ -1,8 +1,10 @@
 """Tests for tabular Q-learning, discretization and the evaluation
 protocol with its pose-transition count."""
 
+import gc
 import math
 import random
+import sys
 from itertools import islice
 
 import pytest
@@ -18,6 +20,7 @@ from gaitrm.learn import (
     EvalMetrics,
     LearnerConfig,
     ReferenceGaitPolicy,
+    as_policy_fn,
     discretize,
     epsilon_schedule,
     evaluate,
@@ -454,20 +457,52 @@ class TestTrain:
         assert [step for step, _ in curve] == [2000, 4000, 5500]
         assert all(isinstance(m, EvalMetrics) for _, m in curve)
 
+    @staticmethod
+    def record_stepping_rollouts(monkeypatch, wrapper_cls):
+        """Patch ``learn.rollout`` to append, per call, the number of
+        learner updates so far and whether the call stepped a wrapper.
+        Compile the wrapper's step table before training, so that only
+        evaluation steps are counted."""
+        calls: list[tuple[int, bool]] = []
+        updates = steps = 0
+        wrapper_step = wrapper_cls.step
+
+        def counting_update(*args):
+            nonlocal updates
+            updates += 1
+            return q_update(*args)
+
+        def counting_step(self, action):
+            nonlocal steps
+            steps += 1
+            return wrapper_step(self, action)
+
+        def recording_rollout(*args, **kwargs):
+            before = steps
+            run = rollout(*args, **kwargs)
+            calls.append((updates, steps > before))
+            return run
+
+        monkeypatch.setattr(learn, "q_update", counting_update)
+        monkeypatch.setattr(wrapper_cls, "step", counting_step)
+        monkeypatch.setattr(learn, "rollout", recording_rollout)
+        return calls
+
     def test_unchanged_greedy_policy_reuses_its_evaluation(self, monkeypatch):
         rm = build_gait_rm(Gait.TROT)
         config = LearnerConfig(total_steps=20_000, eval_every=1_000)
-        results = []
-
-        def counting_evaluate(*args, **kwargs):
-            results.append(evaluate(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(learn, "evaluate", counting_evaluate)
-        q, curve = train(CrossProductWrapper(ToyQuadrupedEnv(), rm), config)
+        wrapper = CrossProductWrapper(ToyQuadrupedEnv(), rm)
+        learn.step_table(wrapper)
+        calls = self.record_stepping_rollouts(monkeypatch, CrossProductWrapper)
+        q, curve = train(wrapper, config)
         monkeypatch.undo()
-        assert len(results) < len(curve)
-        assert curve[0][1] is results[0]
+        stepped = [s for _, s in calls]
+        assert len(stepped) == len(curve) * config.eval_episodes
+        # Only an evaluation's first episode can step, and the first
+        # evaluation's does.
+        assert stepped[0]
+        assert not any(s for i, s in enumerate(stepped) if i % config.eval_episodes)
+        assert sum(stepped) < len(curve)
         assert (q, curve) == train_by_stepping(
             CrossProductWrapper(ToyQuadrupedEnv(), rm), config
         )
@@ -475,34 +510,26 @@ class TestTrain:
     def test_reuse_reads_only_the_keys_evaluation_visited(self, monkeypatch):
         rm = build_gait_rm(Gait.TROT)
         config = LearnerConfig(total_steps=20_000, eval_every=1_000)
-        updates = 0
-        evaluated_at = []
-
-        def counting_update(*args):
-            nonlocal updates
-            updates += 1
-            return q_update(*args)
-
-        def recording_evaluate(*args, **kwargs):
-            evaluated_at.append(updates)
-            return evaluate(*args, **kwargs)
-
-        monkeypatch.setattr(learn, "q_update", counting_update)
-        monkeypatch.setattr(learn, "evaluate", recording_evaluate)
-        q, curve = train(Stack3Wrapper(ToyQuadrupedEnv(), rm), config)
+        wrapper = Stack3Wrapper(ToyQuadrupedEnv(), rm)
+        learn.step_table(wrapper)
+        calls = self.record_stepping_rollouts(monkeypatch, Stack3Wrapper)
+        q, curve = train(wrapper, config)
         monkeypatch.undo()
         greedy_maps = []
         assert (q, curve) == train_by_stepping(
             Stack3Wrapper(ToyQuadrupedEnv(), rm), config, greedy_maps
         )
+        # Every learner step makes one update, so the count at a rollout
+        # is the step number of its evaluation point.
+        stepped_at = {updates for updates, stepped in calls if stepped}
         points = [step for step, _ in curve]
-        assert len(evaluated_at) < len(points)
+        assert len(stepped_at) < len(points)
         # A reused point whose full greedy map differs from the last
-        # evaluated point's: a whole-table rule would have evaluated it.
+        # stepped point's: a whole-table rule would have stepped it.
         reused_past_a_change = 0
         last = None
         for point, greedy_map in zip(points, greedy_maps):
-            if point in evaluated_at:
+            if point in stepped_at:
                 last = greedy_map
             elif greedy_map != last:
                 reused_past_a_change += 1
@@ -601,6 +628,75 @@ class TestTracker:
             run = rollout(scripted((TROT_A.code,)), wrapper)
             assert [(s.rm_state, s.transition) for s in run.steps] == [("q1", True)]
             assert run.pose_transitions == 1
+
+
+POSE_CODES = sorted({pose.code for g in Gait for pose in (g.pose_a, g.pose_b)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(list(WrapperKind)),
+    gait=st.sampled_from(list(Gait)),
+    data=st.data(),
+)
+def test_rollouts_of_one_wrapper_match_fresh_clones(kind, gait, data):
+    """Rounds of one operation on a wrapper (set a Q row, switch the
+    tracker, roll out a stateful callable, or nothing), each followed by
+    a Q-table rollout: every such rollout, and the wrapper's state after
+    it, equal a rollout on a fresh clone, and the callable is called at
+    every step of every rollout."""
+    rm = build_gait_rm(gait)
+    others = [g for g in Gait if g is not gait]
+    other = build_gait_rm(data.draw(st.sampled_from(others)))
+    wrapper = make_wrapper(kind, rm=rm)
+    q: dict = {}
+    tracker = None
+    visited = [discretize(wrapper.reset(), kind)]
+    ops = st.sampled_from(["row", "tracker", "callable", "none"])
+    for op in data.draw(st.lists(ops, min_size=4, max_size=20)):
+        if op == "row":
+            keys = st.sampled_from(visited) | st.integers(0, wrapper.key_space - 1)
+            key = data.draw(keys)
+            # Ties and signed zeros, and mostly a peak at a gait pose so
+            # that the path walks poses on which trackers disagree.
+            values = st.sampled_from([0.0, -0.0, 0.5, -1.0])
+            row = data.draw(st.lists(values, min_size=16, max_size=16))
+            peak = data.draw(st.sampled_from([None, *POSE_CODES]))
+            if peak is not None:
+                row[peak] = 1.0
+            q[key] = row
+        elif op == "tracker":
+            switches = [t for t in (rm, other, None) if t is not tracker]
+            tracker = data.draw(st.sampled_from(switches))
+        elif op == "callable":
+            actions = st.integers(0, NUM_ACTIONS - 1)
+            codes = data.draw(st.lists(actions, min_size=1, max_size=4))
+            calls = []
+
+            def cycling(obs, t):
+                calls.append(t)
+                return codes[len(calls) % len(codes)]
+
+            run = rollout(cycling, wrapper, tracker_rm=tracker)
+            assert calls == list(range(len(run.steps)))
+        run = rollout(q, wrapper, tracker_rm=tracker)
+        fresh = wrapper.clone()
+        reference = as_policy_fn(q, kind)
+        assert run == rollout(reference, fresh, tracker_rm=tracker)
+        assert wrapper.snapshot() == fresh.snapshot()
+        visited = sorted(reference.chosen)
+
+
+def test_a_wrappers_cached_rollout_dies_with_it():
+    wrapper = NaiveWrapper(rm=build_gait_rm(Gait.PACE))
+    run = rollout({}, wrapper)
+    assert rollout({}, wrapper) is run
+    # ``Rollout`` has slots and no weakref slot, so count references:
+    # the cache entry holds one until its wrapper is collected.
+    held = sys.getrefcount(run)
+    del wrapper
+    gc.collect()
+    assert sys.getrefcount(run) == held - 1
 
 
 class TestLearnerConfig:
