@@ -1,90 +1,12 @@
 """Gait specification via guarded reward automata, a desk-scale toy
-quadruped environment, and a tabular cross-product learner."""
+quadruped environment, and a tabular cross-product learner.
 
-from .guards import (
-    ALL_LABEL_SETS,
-    And,
-    EMPTY_LABEL_SET,
-    Guard,
-    GuardSyntaxError,
-    LabelSet,
-    Lit,
-    Not,
-    Or,
-    Prop,
-    UnknownPropositionError,
-    eval_guard,
-    parse_guard,
-    render_guard,
-    satisfying_sets,
-    semantically_equal,
-    truth_table,
-)
-from .machine import (
-    Gait,
-    RewardMachine,
-    RewardParams,
-    RewardSpec,
-    RmFormatError,
-    RmState,
-    RmStepError,
-    RmValidationWarning,
-    SwitchPoseBonus,
-    Transition,
-    ValidationReport,
-    Walk,
-    build_gait_rm,
-    compute_reward,
-    load_rm,
-    rm_step,
-    save_rm,
-    transition_table,
-    validate,
-)
-from .env import (
-    EpisodeFinishedError,
-    InvalidConfigError,
-    StepInfo,
-    ToyEnvConfig,
-    ToyEnvState,
-    ToyQuadrupedEnv,
-    label,
-    observe,
-    reset,
-    step,
-)
-from .wrappers import (
-    AugmentedWrapper,
-    CrossProductObservation,
-    CrossProductWrapper,
-    GaitEnvWrapper,
-    GaitShape,
-    GaitShapeError,
-    MilestoneLatch,
-    NaiveWrapper,
-    NoGaitWrapper,
-    Stack3Wrapper,
-    WrapperKind,
-    base_pattern,
-    gait_shape,
-    make_wrapper,
-    oracle_reward_step,
-)
-from .learn import (
-    EvalMetrics,
-    LearnerConfig,
-    QTable,
-    ReferenceGaitPolicy,
-    Rollout,
-    RolloutStep,
-    StepTable,
-    discretize,
-    evaluate,
-    greedy_action,
-    q_update,
-    rollout,
-    step_table,
-    train,
-)
+The root namespace holds the pipeline's entry points; every other name
+is imported from its own module (``gaitrm.guards``, ``gaitrm.machine``,
+``gaitrm.env``, ``gaitrm.wrappers``, ``gaitrm.learn``, ``gaitrm.cli``)."""
+
+from .machine import Gait, build_gait_rm
+from .wrappers import make_wrapper
+from .learn import LearnerConfig, evaluate, train
 
 __version__ = "0.1.0"

@@ -121,6 +121,9 @@ def _load_run_configs(
         unknown = sorted(set(doc) - {"env", "learner", "reward"})
         if unknown:
             raise CliSemanticError(f"config: unknown sections {unknown}")
+        for name in ("env", "learner", "reward"):
+            if not isinstance(doc.get(name, {}), dict):
+                raise CliSemanticError(f"config: section {name!r} must be an object")
         env_doc = doc.get("env", {})
         learner_doc = doc.get("learner", {})
         params_doc = doc.get("reward", {})

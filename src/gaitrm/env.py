@@ -136,26 +136,20 @@ def reset(config: ToyEnvConfig) -> ToyEnvState:
     )
 
 
-def _action_code(action: int | LabelSet) -> int:
-    if isinstance(action, LabelSet):
-        return action.code
-    if not 0 <= action < 16:
-        raise ValueError(f"action code must be in [0, 16), got {action}")
-    return action
-
-
 def step(
-    state: ToyEnvState, action: int | LabelSet, config: ToyEnvConfig
+    state: ToyEnvState, action: int, config: ToyEnvConfig
 ) -> tuple[ToyEnvState, StepInfo]:
-    """Apply one target contact pattern; returns the settled state and
-    the step's physical outcome."""
+    """Apply one target contact pattern, a 4-bit action code; returns
+    the settled state and the step's physical outcome."""
     if (
         state.fallen and config.stumble_terminates
     ) or state.step_count >= config.episode_length:
         raise EpisodeFinishedError(
             "episode already finished; reset before stepping again"
         )
-    code = _action_code(action)
+    if not 0 <= action < 16:
+        raise ValueError(f"action code must be in [0, 16), got {action}")
+    code = action
     n_airborne = code.bit_count()
     n_planted = 4 - n_airborne
     stumbled = n_planted < 2
@@ -193,10 +187,9 @@ def label(
     ]
 
 
-def observe(state: ToyEnvState, config: ToyEnvConfig) -> int:
+def observe(state: ToyEnvState) -> int:
     """Canonical discrete observation: the contact pattern as a 4-bit
     code (bit set = foot in the air), FL=bit0, FR=bit1, BL=bit2, BR=bit3."""
-    del config
     return state.airborne.code
 
 
@@ -217,11 +210,11 @@ class ToyQuadrupedEnv:
 
     def reset(self) -> int:
         self._state = reset(self.config)
-        return observe(self._state, self.config)
+        return observe(self._state)
 
-    def step(self, action: int | LabelSet) -> tuple[int, StepInfo]:
+    def step(self, action: int) -> tuple[int, StepInfo]:
         self._state, info = step(self._state, action, self.config)
-        return observe(self._state, self.config), info
+        return observe(self._state), info
 
     def set_state(self, state: ToyEnvState) -> None:
         self._state = state

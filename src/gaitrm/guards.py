@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator
 
 
 class Prop(enum.Enum):
@@ -57,10 +57,6 @@ class LabelSet:
         code = 0
         for p in props:
             code |= 1 << p.value
-        return ALL_LABEL_SETS[code]
-
-    @classmethod
-    def from_code(cls, code: int) -> "LabelSet":
         return ALL_LABEL_SETS[code]
 
     def __contains__(self, prop: Prop) -> bool:
@@ -149,15 +145,6 @@ def truth_table(guard: Guard) -> int:
         if eval_guard(guard, labels):
             mask |= 1 << labels.code
     return mask
-
-
-def satisfying_sets(guard: Guard) -> frozenset[LabelSet]:
-    """All label sets for which the guard evaluates true, by enumeration."""
-    return frozenset(l for l in ALL_LABEL_SETS if eval_guard(guard, l))
-
-
-def semantically_equal(a: Guard, b: Guard) -> bool:
-    return truth_table(a) == truth_table(b)
 
 
 # Rendering. Parentheses are inserted only where a child binds looser

@@ -262,7 +262,7 @@ def rollout(
         steps.append(
             RolloutStep(
                 t + 1,
-                action if isinstance(action, int) else action.code,
+                action,
                 info.foot_heights,
                 labels.bits(),
                 info.delta_x,

@@ -123,12 +123,6 @@ class RewardMachine:
     def __hash__(self) -> int:
         return self._hash
 
-    def state_named(self, name: str) -> RmState:
-        for s in self.states:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
     def transitions_from(self, state: RmState) -> tuple[Transition, ...]:
         return tuple(t for t in self.transitions if t.src == state)
 
@@ -399,7 +393,9 @@ def machine_from_document(doc: dict) -> tuple[RewardMachine, RewardParams]:
     missing = sorted(required - set(doc))
     if missing:
         raise RmFormatError(f"document: missing fields {missing}")
-    if doc["version"] != RM_FILE_VERSION:
+    # A bool is never taken as a number, and ``1.0 == 1``: only the int
+    # itself names the version.
+    if type(doc["version"]) is not int or doc["version"] != RM_FILE_VERSION:
         raise RmFormatError(f"unsupported version {doc['version']!r}")
 
     names = doc["states"]
@@ -482,16 +478,10 @@ def dumps_rm(rm: RewardMachine, params: RewardParams | None = None) -> str:
 
 
 def save_rm(
-    rm: RewardMachine,
-    destination: str | Path | IO[str],
-    params: RewardParams | None = None,
+    rm: RewardMachine, path: str | Path, params: RewardParams | None = None
 ) -> None:
     """Write the machine (and its reward params) as a JSON document."""
-    text = dumps_rm(rm, params)
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        Path(destination).write_text(text)
+    Path(path).write_text(dumps_rm(rm, params))
 
 
 def loads_json(text: str) -> object:

@@ -108,29 +108,19 @@ def _latch_step(
     info: StepInfo,
     params: RewardParams,
 ) -> tuple[float, MilestoneLatch]:
-    if shape.mask_a >> code & 1 and latch is not MilestoneLatch.POSE_A:
-        return compute_reward(shape.bonus_a, info, params), MilestoneLatch.POSE_A
-    if shape.mask_b >> code & 1 and latch is MilestoneLatch.POSE_A:
-        return compute_reward(shape.bonus_b, info, params), MilestoneLatch.POSE_B
-    loop = shape.loop_q1 if latch is MilestoneLatch.POSE_A else shape.loop_q0
-    return compute_reward(loop, info, params), latch
-
-
-def oracle_reward_step(
-    latch: MilestoneLatch,
-    labels: LabelSet,
-    info: StepInfo,
-    rm: RewardMachine,
-    params: RewardParams,
-) -> tuple[float, MilestoneLatch]:
-    """History-based reward without the automaton.
+    """History-based reward without the automaton, for label code ``code``.
 
     A pose-A label pays the bonus unless pose A was already the latched
     milestone; a pose-B label pays only when pose A is latched (there is
     no fresh-start allowance on the B side). Everything else earns the
     walking reward and leaves the latch alone.
     """
-    return _latch_step(gait_shape(rm), latch, labels.code, info, params)
+    if shape.mask_a >> code & 1 and latch is not MilestoneLatch.POSE_A:
+        return compute_reward(shape.bonus_a, info, params), MilestoneLatch.POSE_A
+    if shape.mask_b >> code & 1 and latch is MilestoneLatch.POSE_A:
+        return compute_reward(shape.bonus_b, info, params), MilestoneLatch.POSE_B
+    loop = shape.loop_q1 if latch is MilestoneLatch.POSE_A else shape.loop_q0
+    return compute_reward(loop, info, params), latch
 
 
 def base_pattern(observation: Any) -> int:
@@ -167,16 +157,12 @@ class GaitEnvWrapper:
         if rm is None:
             raise ValueError(f"{type(self).__name__} requires a reward machine")
         self.env = env if env is not None else ToyQuadrupedEnv()
-        self.rm = rm
+        self.machine: RewardMachine | None = rm
         self.params = params if params is not None else RewardParams()
 
     @property
     def config(self) -> ToyEnvConfig:
         return self.env.config
-
-    @property
-    def machine(self) -> RewardMachine | None:
-        return self.rm
 
     @staticmethod
     def key(observation: Any) -> int:
@@ -185,7 +171,7 @@ class GaitEnvWrapper:
     def reset(self) -> Any:
         raise NotImplementedError
 
-    def step(self, action: int | LabelSet) -> tuple[Any, float, bool, bool, StepInfo]:
+    def step(self, action: int) -> tuple[Any, float, bool, bool, StepInfo]:
         raise NotImplementedError
 
     def snapshot(self) -> tuple:
@@ -196,7 +182,7 @@ class GaitEnvWrapper:
 
     def clone(self) -> "GaitEnvWrapper":
         """A fresh wrapper of the same kind, config, machine and params."""
-        return type(self)(ToyQuadrupedEnv(self.config), self.rm, self.params)
+        return type(self)(ToyQuadrupedEnv(self.config), self.machine, self.params)
 
 
 class CrossProductWrapper(GaitEnvWrapper):
@@ -207,7 +193,7 @@ class CrossProductWrapper(GaitEnvWrapper):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        rm = self.rm
+        rm = self.machine
         self.key_space = 16 * len(rm.states)
         self._table = transition_table(rm)
         self._accepting = tuple(u in rm.accepting for u in rm.states)
@@ -223,11 +209,11 @@ class CrossProductWrapper(GaitEnvWrapper):
 
     def reset(self) -> CrossProductObservation:
         base = self.env.reset()
-        self._u = self.rm.initial
+        self._u = self.machine.initial
         return CrossProductObservation(base, self._u)
 
     def step(
-        self, action: int | LabelSet
+        self, action: int
     ) -> tuple[CrossProductObservation, float, bool, bool, StepInfo]:
         base, info = self.env.step(action)
         labels = label(info, self.config.clearance)
@@ -265,14 +251,14 @@ class NoGaitWrapper(GaitEnvWrapper):
     ):
         # The walk reward reads no machine, so none is required or kept.
         self.env = env if env is not None else ToyQuadrupedEnv()
-        self.rm = None
+        self.machine = None
         self.params = params if params is not None else RewardParams()
         self._walk = Walk()
 
     def reset(self) -> int:
         return self.env.reset()
 
-    def step(self, action: int | LabelSet) -> tuple[int, float, bool, bool, StepInfo]:
+    def step(self, action: int) -> tuple[int, float, bool, bool, StepInfo]:
         base, info = self.env.step(action)
         reward = compute_reward(self._walk, info, self.params)
         return base, reward, info.terminated, info.truncated, info
@@ -292,7 +278,7 @@ class _LatchRewardWrapper(GaitEnvWrapper):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._shape = gait_shape(self.rm)
+        self._shape = gait_shape(self.machine)
         self._latch = MilestoneLatch.NONE
 
     @property
@@ -310,7 +296,7 @@ class _LatchRewardWrapper(GaitEnvWrapper):
         self._latch = MilestoneLatch.NONE
         return self._reset_observation(base)
 
-    def step(self, action: int | LabelSet) -> tuple[Any, float, bool, bool, StepInfo]:
+    def step(self, action: int) -> tuple[Any, float, bool, bool, StepInfo]:
         base, info = self.env.step(action)
         labels = label(info, self.config.clearance)
         reward, self._latch = _latch_step(

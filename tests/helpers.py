@@ -1,14 +1,26 @@
-"""Shared test utilities: random guard generation, the exhaustive
-reward-equivalence walker used by both the fast suite and acceptance,
-and the reference Q-learner and evaluation that step a wrapper
-themselves."""
+"""Shared test utilities: random guard generation, the enumeration and
+latch-reward oracles, the exhaustive reward-equivalence walker used by
+both the fast suite and acceptance, and the reference Q-learner and
+evaluation that step a wrapper themselves."""
 
 from __future__ import annotations
 
 import random
 
-from gaitrm.env import ToyEnvConfig, ToyQuadrupedEnv, label
-from gaitrm.guards import MAX_GUARD_DEPTH, And, Guard, Lit, Not, Or, Prop
+from gaitrm.env import StepInfo, ToyEnvConfig, ToyQuadrupedEnv, label
+from gaitrm.guards import (
+    ALL_LABEL_SETS,
+    MAX_GUARD_DEPTH,
+    And,
+    Guard,
+    LabelSet,
+    Lit,
+    Not,
+    Or,
+    Prop,
+    eval_guard,
+    truth_table,
+)
 from gaitrm.learn import (
     NUM_ACTIONS,
     EvalMetrics,
@@ -20,6 +32,7 @@ from gaitrm.learn import (
 from gaitrm.machine import (
     Gait,
     RewardMachine,
+    RewardParams,
     build_gait_rm,
     machine_to_document,
     transition_table,
@@ -28,6 +41,8 @@ from gaitrm.wrappers import (
     CrossProductWrapper,
     MilestoneLatch,
     NaiveWrapper,
+    _latch_step,
+    gait_shape,
 )
 
 PROPS = tuple(Prop)
@@ -47,6 +62,32 @@ def random_guard(rng: random.Random, depth: int) -> Guard:
     if kind == 1:
         return And(random_guard(rng, depth - 1), random_guard(rng, depth - 1))
     return Or(random_guard(rng, depth - 1), random_guard(rng, depth - 1))
+
+
+def satisfying_sets(guard: Guard) -> frozenset[LabelSet]:
+    """All label sets for which the guard evaluates true, by enumeration."""
+    return frozenset(l for l in ALL_LABEL_SETS if eval_guard(guard, l))
+
+
+def semantically_equal(a: Guard, b: Guard) -> bool:
+    return truth_table(a) == truth_table(b)
+
+
+def oracle_reward_step(
+    latch: MilestoneLatch,
+    labels: LabelSet,
+    info: StepInfo,
+    rm: RewardMachine,
+    params: RewardParams,
+) -> tuple[float, MilestoneLatch]:
+    """History-based reward without the automaton.
+
+    A pose-A label pays the bonus unless pose A was already the latched
+    milestone; a pose-B label pays only when pose A is latched (there is
+    no fresh-start allowance on the B side). Everything else earns the
+    walking reward and leaves the latch alone.
+    """
+    return _latch_step(gait_shape(rm), latch, labels.code, info, params)
 
 
 def nested_guard(shape: str, depth: int) -> str:

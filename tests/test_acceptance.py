@@ -23,7 +23,6 @@ from gaitrm.guards import (
     ALL_LABEL_SETS,
     parse_guard,
     render_guard,
-    semantically_equal,
 )
 from gaitrm.machine import (
     Gait,
@@ -40,7 +39,12 @@ from gaitrm.machine import (
 )
 from gaitrm.learn import LearnerConfig, ReferenceGaitPolicy, evaluate, train
 from gaitrm.wrappers import NaiveWrapper, base_pattern, make_wrapper
-from helpers import check_equivalence_exhaustive, check_equivalence_rollouts, random_guard
+from helpers import (
+    check_equivalence_exhaustive,
+    check_equivalence_rollouts,
+    random_guard,
+    semantically_equal,
+)
 
 MACHINES_DIR = Path(__file__).resolve().parent.parent / "machines"
 

@@ -55,6 +55,17 @@ class TestValidate:
         assert code == 1
         assert "nope.json" in err
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2], ids=["true", "float", "string", "two"])
+    def test_version_other_than_the_int_1_exit_1(self, capsys, tmp_path, version):
+        doc = machine_to_document(build_gait_rm(Gait.TROT))
+        doc["version"] = version
+        path = tmp_path / "versioned.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert f"unsupported version {version!r}" in err
+
     def test_malformed_json_exit_1(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{]")
@@ -487,6 +498,35 @@ class TestMalformedInputs:
         assert stdout == ""
         assert err.startswith("error:")
         assert ("bad guard" if case.startswith("guard") else "nested too deeply") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, value, flags", [
+        ("env", None, ["--episode-length", "5"]),
+        ("learner", "x", ["--total-steps", "10"]),
+        ("learner", [1], ["--eval-every", "5"]),
+        ("reward", [1], []),
+    ], ids=["env_null", "learner_string", "learner_list", "reward_list"])
+    @pytest.mark.parametrize("command", ["train", "eval", "diagram"])
+    def test_config_section_not_an_object_is_semantic_error(
+        self, capsys, tmp_path, command, section, value, flags
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({section: value}))
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--gait", "trot", "--out", str(out), *flags],
+            # eval and diagram take no learner flags, but still read the section.
+            "eval": ["eval", "--policy", "reference:trot", "--gait", "trot"],
+            "diagram": ["diagram", "--policy", "reference:trot", "--gait", "trot",
+                        "--out", str(out / "diagram.csv")],
+        }[command]
+        if command != "train" and section == "env":
+            argv += flags
+        code, stdout, err = run(capsys, *argv, "--config", str(config))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:")
+        assert f"section {section!r} must be an object" in err
         assert not out.exists()
 
     def test_truncated_curve_row_is_io_error(self, capsys, tmp_path):

@@ -78,7 +78,7 @@ class TestReset:
         assert state.base_x == 0.0
         assert state.step_count == 0
         assert label(state, config.clearance) == EMPTY_LABEL_SET
-        assert observe(state, config) == 0
+        assert observe(state) == 0
 
     def test_reset_is_deterministic(self):
         config = ToyEnvConfig()
@@ -89,7 +89,7 @@ class TestStep:
     def test_first_lift_advances_and_costs_power(self):
         config = ToyEnvConfig()
         state = reset(config)
-        nxt, info = step(state, TROT_A, config)
+        nxt, info = step(state, TROT_A.code, config)
         assert nxt.airborne == TROT_A
         assert info.delta_x == 0.05
         assert info.power == 10.0
@@ -114,8 +114,8 @@ class TestStep:
     def test_repeat_action_no_progress(self):
         config = ToyEnvConfig()
         state = reset(config)
-        state, first = step(state, TROT_A, config)
-        state, second = step(state, TROT_A, config)
+        state, first = step(state, TROT_A.code, config)
+        state, second = step(state, TROT_A.code, config)
         assert first.delta_x == 0.05
         assert second.delta_x == 0.0
         assert second.power == 10.0
@@ -126,7 +126,7 @@ class TestStep:
         state, info = step(state, 15, config)
         assert info.terminated is False
         assert state.fallen is True
-        state, info = step(state, TROT_A, config)
+        state, info = step(state, TROT_A.code, config)
         assert state.fallen is False
         assert info.delta_x == 0.05
 
@@ -134,7 +134,7 @@ class TestStep:
         config = ToyEnvConfig(episode_length=3)
         state = reset(config)
         for i in range(3):
-            state, info = step(state, TROT_A if i % 2 == 0 else TROT_B, config)
+            state, info = step(state, (TROT_A if i % 2 == 0 else TROT_B).code, config)
         assert info.truncated is True
         with pytest.raises(EpisodeFinishedError):
             step(state, 0, config)
@@ -168,7 +168,7 @@ class TestLabel:
 
     def test_accepts_step_info_and_state(self):
         config = ToyEnvConfig()
-        state, info = step(reset(config), TROT_A, config)
+        state, info = step(reset(config), TROT_A.code, config)
         assert label(info, config.clearance) == TROT_A
         assert label(state, config.clearance) == TROT_A
 
@@ -177,16 +177,16 @@ class TestObserve:
     def test_bit_mapping(self):
         config = ToyEnvConfig()
         state = reset(config)
-        assert observe(state, config) == 0
-        state, _ = step(state, TROT_A, config)
-        assert observe(state, config) == 9
-        state, _ = step(state, PACE_A, config)
-        assert observe(state, config) == 5
+        assert observe(state) == 0
+        state, _ = step(state, TROT_A.code, config)
+        assert observe(state) == 9
+        state, _ = step(state, PACE_A.code, config)
+        assert observe(state) == 5
 
     def test_all_airborne_is_code_fifteen(self):
         config = ToyEnvConfig(stumble_terminates=False)
         state, _ = step(reset(config), 15, config)
-        assert observe(state, config) == 15
+        assert observe(state) == 15
 
 
 class TestInvariants:
@@ -247,7 +247,7 @@ class TestInvariants:
         state = reset(config)
         total = 0.0
         for i in range(config.episode_length):
-            action = TROT_A if i % 2 == 0 else TROT_B
+            action = (TROT_A if i % 2 == 0 else TROT_B).code
             state, info = step(state, action, config)
             assert info.delta_x == config.stride_gain
             assert not info.terminated
@@ -259,7 +259,7 @@ class TestInvariants:
         config = ToyEnvConfig()
         state = reset(config)
         for i in range(10):
-            action = PACE_A if i % 2 == 0 else PACE_B
+            action = (PACE_A if i % 2 == 0 else PACE_B).code
             state, info = step(state, action, config)
             assert info.delta_x == config.stride_gain
 
@@ -287,7 +287,7 @@ def test_dynamics_over_every_pattern_and_action(config_name):
     for previous in range(16):
         # The state one step after commanding ``previous`` from rest.
         before, _ = step(reset(reach), previous, reach)
-        assert observe(before, config) == previous
+        assert observe(before) == previous
         assert before.fallen == (bin(previous).count("1") > 2)
         for action in range(16):
             if before.fallen and config.stumble_terminates:
@@ -312,7 +312,7 @@ def test_dynamics_over_every_pattern_and_action(config_name):
             assert after.base_x == before.base_x + info.delta_x
             assert label(info, config.clearance).code == action
             assert label(after, config.clearance).code == action
-            assert observe(after, config) == action
+            assert observe(after) == action
             env.set_state(before)
             assert env.step(action) == (action, info)
 

@@ -22,11 +22,9 @@ from gaitrm.guards import (
     eval_guard,
     parse_guard,
     render_guard,
-    satisfying_sets,
-    semantically_equal,
     truth_table,
 )
-from helpers import nested_guard, random_guard
+from helpers import nested_guard, random_guard, satisfying_sets, semantically_equal
 
 TROT_POSE_A = "FL & !FR & !BL & BR"
 
@@ -49,7 +47,7 @@ class TestLabelSet:
         assert len({l.code for l in ALL_LABEL_SETS}) == 16
 
     def test_structural_equality(self):
-        assert LabelSet.of(Prop.FL, Prop.BR) == LabelSet.from_code(9)
+        assert LabelSet.of(Prop.FL, Prop.BR) == ALL_LABEL_SETS[9]
         assert LabelSet.of(Prop.FL) != LabelSet.of(Prop.FR)
 
     def test_membership_and_bits(self):
@@ -60,7 +58,7 @@ class TestLabelSet:
         assert labels.code == 9
         assert len(labels) == 2
         for code in range(16):
-            assert LabelSet.from_code(code).bits() == tuple(code >> i & 1 for i in range(4))
+            assert ALL_LABEL_SETS[code].bits() == tuple(code >> i & 1 for i in range(4))
 
     def test_out_of_range_code_rejected(self):
         with pytest.raises(ValueError):

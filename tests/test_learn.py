@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import gaitrm.learn as learn
 from gaitrm.env import ToyEnvConfig, ToyQuadrupedEnv
-from gaitrm.guards import LabelSet, Prop
+from gaitrm.guards import ALL_LABEL_SETS, LabelSet, Prop
 from gaitrm.machine import Gait, build_gait_rm, machine_from_document
 from gaitrm.learn import (
     NUM_ACTIONS,
@@ -612,7 +612,7 @@ class TestTracker:
         wrapper = NoGaitWrapper(ToyQuadrupedEnv(ToyEnvConfig(episode_length=6)))
         run = rollout(scripted(codes), wrapper, tracker_rm=build_gait_rm(Gait.TROT))
         assert [s.label_bits for s in run.steps] == [
-            LabelSet.from_code(c).bits() for c in codes
+            ALL_LABEL_SETS[c].bits() for c in codes
         ]
         assert run.pose_transitions == 3  # A, then B, then A again
         assert [s.transition for s in run.steps] == [

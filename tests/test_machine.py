@@ -18,7 +18,6 @@ from gaitrm.guards import (
     Or,
     Prop,
     conjunction_for,
-    satisfying_sets,
     truth_table,
 )
 from gaitrm.machine import (
@@ -43,6 +42,7 @@ from gaitrm.machine import (
     transition_table,
     validate,
 )
+from helpers import satisfying_sets
 
 MACHINES_DIR = Path(__file__).resolve().parent.parent / "machines"
 
@@ -173,7 +173,7 @@ class TestRmStep:
 
     def test_repeated_pose_a_in_q1_earns_no_second_bonus(self):
         rm = build_gait_rm(Gait.TROT)
-        q1 = rm.state_named("q1")
+        q1 = rm.states[1]
         nxt, spec = rm_step(rm, q1, LabelSet.of(Prop.FL, Prop.BR))
         assert nxt == q1
         assert spec == Walk()
@@ -360,6 +360,15 @@ class TestSerialization:
         doc = machine_to_document(build_gait_rm(Gait.TROT))
         del doc["initial"]
         with pytest.raises(RmFormatError, match="initial"):
+            machine_from_document(doc)
+
+    @pytest.mark.parametrize(
+        "version", [True, 1.0, "1", 0, 2], ids=["true", "float", "string", "zero", "two"]
+    )
+    def test_version_must_be_the_int_1(self, version):
+        doc = machine_to_document(build_gait_rm(Gait.TROT))
+        doc["version"] = version
+        with pytest.raises(RmFormatError, match="unsupported version"):
             machine_from_document(doc)
 
     def test_unknown_field_rejected(self):

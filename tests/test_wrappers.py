@@ -32,9 +32,12 @@ from gaitrm.wrappers import (
     base_pattern,
     gait_shape,
     make_wrapper,
+)
+from helpers import (
+    check_equivalence_exhaustive,
+    check_equivalence_rollouts,
     oracle_reward_step,
 )
-from helpers import check_equivalence_exhaustive, check_equivalence_rollouts
 
 TROT_A = LabelSet.of(Prop.FL, Prop.BR)
 TROT_B = LabelSet.of(Prop.FR, Prop.BL)
