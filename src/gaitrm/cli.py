@@ -458,6 +458,13 @@ def _read_manifest(path: Path) -> dict:
         isinstance(s, int) and not isinstance(s, bool) for s in seeds
     ):
         raise RmFormatError(f"{path}: manifest 'seeds' must be a list of integers")
+    if len(set(seeds)) != len(seeds):
+        raise RmFormatError(f"{path}: manifest 'seeds' lists a seed more than once")
+    # List membership compares by ==, so unhashable values are refused too.
+    if doc["gait"] not in [None, *(g.value for g in Gait)]:
+        raise RmFormatError(f"{path}: manifest 'gait' must be null or a gait name")
+    if doc["wrapper"] not in [k.value for k in WrapperKind]:
+        raise RmFormatError(f"{path}: manifest 'wrapper' must be a wrapper kind")
     curves = doc["files"].get("curves") if isinstance(doc["files"], dict) else None
     if not isinstance(curves, dict) or not all(
         isinstance(curves.get(str(s)), str) for s in seeds

@@ -4,9 +4,9 @@ baseline observation schemes, all reward-equivalent except no-gait.
 The cross-product wrapper pairs the base observation with the automaton
 state, making the gait reward Markovian. The naive, stacked and
 augmented wrappers instead score steps with a history-based oracle that
-latches the most recent milestone pose; their reward streams match the
-cross-product stream step for step, they only differ in what the agent
-gets to observe.
+remembers one bit, whether pose A is latched; their reward streams match
+the cross-product stream step for step, they only differ in what the
+agent gets to observe.
 """
 
 from __future__ import annotations
@@ -49,11 +49,10 @@ class CrossProductObservation(NamedTuple):
 
 
 class MilestoneLatch(enum.Enum):
-    """Memory of the most recent milestone pose, if any."""
+    """Whether pose A is latched: its bonus paid, and no pose-B bonus since."""
 
     NONE = "none"
     POSE_A = "pose_a"
-    POSE_B = "pose_b"
 
 
 class GaitShapeError(ValueError):
@@ -110,15 +109,15 @@ def _latch_step(
 ) -> tuple[float, MilestoneLatch]:
     """History-based reward without the automaton, for label code ``code``.
 
-    A pose-A label pays the bonus unless pose A was already the latched
-    milestone; a pose-B label pays only when pose A is latched (there is
-    no fresh-start allowance on the B side). Everything else earns the
-    walking reward and leaves the latch alone.
+    A pose-A label pays the bonus and latches pose A unless pose A is
+    already latched; a pose-B label pays and releases the latch only
+    when pose A is latched. Everything else earns the walking reward and
+    leaves the latch alone.
     """
     if shape.mask_a >> code & 1 and latch is not MilestoneLatch.POSE_A:
         return compute_reward(shape.bonus_a, info, params), MilestoneLatch.POSE_A
     if shape.mask_b >> code & 1 and latch is MilestoneLatch.POSE_A:
-        return compute_reward(shape.bonus_b, info, params), MilestoneLatch.POSE_B
+        return compute_reward(shape.bonus_b, info, params), MilestoneLatch.NONE
     loop = shape.loop_q1 if latch is MilestoneLatch.POSE_A else shape.loop_q0
     return compute_reward(loop, info, params), latch
 

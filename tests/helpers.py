@@ -1,10 +1,12 @@
 """Shared test utilities: random guard generation, the enumeration and
 latch-reward oracles, the exhaustive reward-equivalence walker used by
-both the fast suite and acceptance, and the reference Q-learner and
+both the fast suite and acceptance, the joint breadth-first walk over
+cross-product and naive states, and the reference Q-learner and
 evaluation that step a wrapper themselves."""
 
 from __future__ import annotations
 
+import collections
 import random
 
 from gaitrm.env import StepInfo, ToyEnvConfig, ToyQuadrupedEnv, label
@@ -25,6 +27,7 @@ from gaitrm.learn import (
     NUM_ACTIONS,
     EvalMetrics,
     LearnerConfig,
+    _time_free,
     discretize,
     greedy_action,
     q_update,
@@ -82,10 +85,10 @@ def oracle_reward_step(
 ) -> tuple[float, MilestoneLatch]:
     """History-based reward without the automaton.
 
-    A pose-A label pays the bonus unless pose A was already the latched
-    milestone; a pose-B label pays only when pose A is latched (there is
-    no fresh-start allowance on the B side). Everything else earns the
-    walking reward and leaves the latch alone.
+    A pose-A label pays the bonus and latches pose A unless pose A is
+    already latched; a pose-B label pays and releases the latch only
+    when pose A is latched. Everything else earns the walking reward and
+    leaves the latch alone.
     """
     return _latch_step(gait_shape(rm), latch, labels.code, info, params)
 
@@ -161,6 +164,43 @@ def check_equivalence_exhaustive(gait: Gait, depth: int) -> int:
 
     recurse(depth)
     return compared
+
+
+def joint_walk(gait: Gait, config: ToyEnvConfig | None = None) -> set[tuple]:
+    """Breadth-first over the (cross core, naive core) pairs that one
+    action sequence reaches in both wrappers, stepping each through its
+    public ``step`` from restored snapshots. Asserts on every (pair,
+    action) equal rewards, equal episode flags, and the latch at pose A
+    exactly when the machine is in q1. Returns the reached pairs, the
+    reset pair included."""
+    cross, naive, _ = make_pair(gait, config)
+    cross.reset()
+    naive.reset()
+
+    def pair() -> tuple:
+        return tuple(_time_free(w.snapshot(), w.kind) for w in (cross, naive))
+
+    pairs = {pair()}
+    frontier = collections.deque([(cross.snapshot(), naive.snapshot())])
+    while frontier:
+        snap_cross, snap_naive = frontier.popleft()
+        for action in range(16):
+            cross.restore(snap_cross)
+            naive.restore(snap_naive)
+            _, r_cross, term_c, trunc_c, _ = cross.step(action)
+            _, r_naive, term_n, trunc_n, _ = naive.step(action)
+            assert r_cross == r_naive, (gait, action, r_cross, r_naive)
+            assert (term_c, trunc_c) == (term_n, trunc_n), (gait, action)
+            in_q1 = cross.rm_state.index == 1
+            assert in_q1 == (naive.latch is MilestoneLatch.POSE_A), (gait, naive.latch)
+            reached = pair()
+            if reached not in pairs:
+                pairs.add(reached)
+                # Breadth-first, so a pair first reached by a finishing
+                # step is reached by no earlier step either.
+                if not (term_c or trunc_c):
+                    frontier.append((cross.snapshot(), naive.snapshot()))
+    return pairs
 
 
 def check_equivalence_rollouts(

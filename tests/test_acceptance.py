@@ -225,7 +225,7 @@ def test_criterion_4_learning_trend():
     assert ceiling_ok_all, detail_lines
     # With one-step foot settling the contact pattern alone pins down the
     # milestone latch on every milestone step (pattern A implies latch A;
-    # pattern B implies latch in {start, B}), so a memoryless policy is
+    # pattern B implies latch NONE), so a memoryless policy is
     # optimal under the naive wrapper too and both learners can end at
     # the same ceiling. If an environment ever hides the machine state
     # from the baseline (multi-step foot settling, say), this premise

@@ -529,12 +529,88 @@ class TestMalformedInputs:
         assert f"section {section!r} must be an object" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("gait", "tr,ot"),
+        ("gait", 1),
+        ("gait", ["trot"]),
+        ("wrapper", {"a": 1}),
+        ("wrapper", None),
+        ("wrapper", "Naive"),
+        ("seeds", [0, 0]),
+        ("seeds", ["0"]),
+    ], ids=["gait_with_comma", "gait_int", "gait_list",
+            "wrapper_object", "wrapper_null", "wrapper_miscased",
+            "seed_repeated", "seed_string"])
+    def test_manifest_field_outside_its_values_is_io_error(
+        self, capsys, tmp_path, field, value
+    ):
+        manifest_path = self._campaign(capsys, tmp_path) / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest[field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        code, stdout, err = run(capsys, "compare", str(tmp_path))
+        assert code == 1
+        assert stdout == ""
+        assert f"manifest {field!r}" in err
+        assert not (tmp_path / "compare.csv").exists()
+
     def test_truncated_curve_row_is_io_error(self, capsys, tmp_path):
         curve = self._campaign(capsys, tmp_path) / "curve_seed0.csv"
         curve.write_text(curve.read_text().rstrip("\n").rsplit(",", 1)[0] + "\n")
         code, _, err = run(capsys, "compare", str(tmp_path))
         assert code == 1
         assert "curve_seed0.csv" in err
+
+
+class TestCsvRoundTrip:
+    """Every CSV the commands write parses back through ``_read_csv``
+    into rows exactly as wide as the header."""
+
+    @pytest.mark.parametrize("manifest_edit", [{}, {"gait": "tr,ot"}],
+                             ids=["as_written", "gait_with_comma"])
+    def test_written_csvs_round_trip(self, capsys, tmp_path, manifest_edit):
+        runs = tmp_path / "runs"
+        cross = runs / "cross_product"
+        for argv in (
+            ["train", "--gait", "trot", "--wrapper", "cross_product", "--seeds", "2",
+             "--out", str(cross), *TINY_TRAIN],
+            # No gait: the manifest's gait is null and compare writes "-".
+            ["train", "--wrapper", "no_gait", "--seeds", "1",
+             "--out", str(runs / "no_gait"), *TINY_TRAIN],
+            ["diagram", "--gait", "trot", "--wrapper", "cross_product",
+             "--policy", str(cross / "policy_seed0.csv"),
+             "--out", str(tmp_path / "diagram.csv"),
+             "--trajectory", str(tmp_path / "trajectory.csv")],
+        ):
+            assert run(capsys, *argv)[0] == 0, argv
+        code, out, _ = run(
+            capsys, "eval", "--gait", "trot", "--wrapper", "cross_product",
+            "--policy", str(cross / "policy_seed1.csv"),
+        )
+        assert code == 0
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        assert len(rows) == 1 and len(rows[0]) == len(header)
+
+        manifest_path = runs / "no_gait" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps({**manifest, **manifest_edit}))
+        code, _, _ = run(capsys, "compare", str(runs))
+
+        # Whatever a manifest says, compare either refuses it or writes
+        # a table that reads back: the round trip is checked first.
+        written = sorted(tmp_path.rglob("*.csv"))
+        for path in written:
+            header, rows = cli._read_csv(path)
+            assert rows, path
+            assert all(len(row) == len(header) for row in rows), path
+        expected = {
+            "policy_seed0.csv", "policy_seed1.csv", "curve_seed0.csv",
+            "curve_seed1.csv", "curve_aggregate.csv", "diagram.csv", "trajectory.csv",
+        }
+        assert {path.name for path in written} == expected | (
+            set() if manifest_edit else {"compare.csv"}
+        )
+        assert code == (1 if manifest_edit else 0)
 
 
 class TestPolicyIo:

@@ -274,6 +274,8 @@ DYNAMICS_CONFIGS = {
         lift_power_cost=2.5,
         episode_length=2,
     ),
+    # A lifted foot sits exactly at clearance, the edge of being airborne.
+    "lift_equals_clearance": ToyEnvConfig(clearance=0.05, lift_height=0.05),
 }
 
 

@@ -3,6 +3,8 @@ wrappers they are compiled from over the whole finite reachable space."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from gaitrm.env import ToyEnvConfig, ToyQuadrupedEnv
@@ -29,6 +31,16 @@ CONFIGS = {
 
 def make(kind: WrapperKind, gait: Gait, config: ToyEnvConfig):
     return make_wrapper(kind, ToyQuadrupedEnv(config), build_gait_rm(gait))
+
+
+# (core states, live core states) per config. Every gait kind compiles
+# to the cross product's states, since the latch is one bit that mirrors
+# the machine state; no_gait keeps the contact states alone. Fallen
+# states have no row when a stumble terminates.
+CORE_STATES = {
+    "default": {"gait": (30, 20), "no_gait": (16, 11)},
+    "no_stumble_len7": {"gait": (30, 30), "no_gait": (16, 16)},
+}
 
 
 def real_core(snap: tuple, kind: WrapperKind) -> tuple:
@@ -85,7 +97,46 @@ def test_table_agrees_with_wrapper_step_on_every_reachable_state(kind, gait, con
     live = {s for s in range(n_states) if table.next_state[s * NUM_ACTIONS] is not None}
     assert compared == len(live) * NUM_ACTIONS
     assert live <= set(table_state_of.values())
-    assert n_states <= 48
+    gait_kind = "no_gait" if kind is WrapperKind.NO_GAIT else "gait"
+    assert (n_states, len(live)) == CORE_STATES[config_name][gait_kind]
+
+
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@pytest.mark.parametrize("gait", list(Gait), ids=lambda g: g.value)
+def test_naive_table_is_the_cross_product_table(gait, config_name):
+    cross = step_table(make(WrapperKind.CROSS_PRODUCT, gait, CONFIGS[config_name]))
+    naive = step_table(make(WrapperKind.NAIVE, gait, CONFIGS[config_name]))
+    assert naive.next_state == cross.next_state
+    assert naive.reward == cross.reward
+    assert naive.terminated == cross.terminated
+    # Only the keys differ: naive's leave out the machine state.
+    assert naive.key == tuple(None if k is None else k % 16 for k in cross.key)
+    assert naive.initial_key == cross.initial_key
+
+
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@pytest.mark.parametrize("gait", list(Gait), ids=lambda g: g.value)
+def test_augmented_table_is_naive_under_the_key_map(gait, config_name):
+    naive = step_table(make(WrapperKind.NAIVE, gait, CONFIGS[config_name]))
+    augmented = step_table(make(WrapperKind.AUGMENTED, gait, CONFIGS[config_name]))
+    # The label bits equal the contact pattern, so key k becomes k + 16k.
+    assert augmented == dataclasses.replace(
+        naive,
+        key=tuple(None if k is None else 17 * k for k in naive.key),
+        initial_key=17 * naive.initial_key,
+    )
+
+
+@pytest.mark.parametrize("gait", list(Gait), ids=lambda g: g.value)
+def test_augmented_trains_as_naive_with_renamed_keys(gait):
+    for seed in (0, 1):
+        config = LearnerConfig(total_steps=20_000, seed=seed)
+        q_naive, curve_naive = train(make(WrapperKind.NAIVE, gait, ToyEnvConfig()), config)
+        q_augmented, curve_augmented = train(
+            make(WrapperKind.AUGMENTED, gait, ToyEnvConfig()), config
+        )
+        assert q_augmented == {17 * k: row for k, row in q_naive.items()}, seed
+        assert curve_augmented == curve_naive, seed
 
 
 def three_state_trot_rm() -> RewardMachine:

@@ -36,6 +36,7 @@ from gaitrm.wrappers import (
 from helpers import (
     check_equivalence_exhaustive,
     check_equivalence_rollouts,
+    joint_walk,
     oracle_reward_step,
 )
 
@@ -133,7 +134,7 @@ class TestOracle:
         reward, latch = oracle_reward_step(
             MilestoneLatch.POSE_A, TROT_B, info, rm, params
         )
-        assert latch is MilestoneLatch.POSE_B
+        assert latch is MilestoneLatch.NONE
         assert reward == 10000.0 * math.tanh(0.05)
         reward, latch = oracle_reward_step(latch, TROT_A, info, rm, params)
         assert latch is MilestoneLatch.POSE_A
@@ -313,6 +314,26 @@ class TestEquivalence:
     def test_exhaustive_short_sequences(self, gait):
         compared = check_equivalence_exhaustive(gait, depth=4)
         assert compared > 20_000
+
+    @pytest.mark.parametrize(
+        "config",
+        (
+            ToyEnvConfig(),
+            ToyEnvConfig(stumble_terminates=False, episode_length=7),
+            # Short enough that the walk takes truncating steps.
+            ToyEnvConfig(episode_length=2),
+        ),
+        ids=("default", "no_stumble_len7", "len2"),
+    )
+    @pytest.mark.parametrize("gait", list(Gait))
+    def test_joint_walk_pairs_states_one_to_one(self, gait, config):
+        """Every reachable cross-product state has exactly one naive
+        partner and the reverse. With the walk's checks on every (pair,
+        action), rewards agree on action sequences of every length, not
+        only on those the depth-limited walks reach."""
+        pairs = joint_walk(gait, config)
+        assert len(pairs) == 30
+        assert len({c for c, _ in pairs}) == len({n for _, n in pairs}) == 30
 
     @pytest.mark.parametrize("gait", list(Gait))
     def test_random_full_episodes(self, gait):
