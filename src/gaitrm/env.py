@@ -15,6 +15,12 @@ Dynamics per step:
   - fewer than two planted feet is a stumble: no progress and, when
     ``stumble_terminates``, the episode ends;
   - the episode truncates after ``episode_length`` actions.
+
+Apart from the base position and the step count, a step's outcome
+depends only on the settled pattern, the action and whether the step
+truncates. These time-free outcomes are built once per physical config
+(lift height, stride gain, power cost, stumble rule), and ``step``
+indexes them.
 """
 
 from __future__ import annotations
@@ -114,14 +120,44 @@ class ToyEnvState(NamedTuple):
     step_count: int
 
 
-@functools.lru_cache(maxsize=None)
-def _foot_heights(lift_height: float) -> tuple:
-    """Foot heights indexed by airborne code: a lifted foot is at
-    ``lift_height``, a planted one at 0."""
-    return tuple(
+@functools.lru_cache(maxsize=None, typed=True)
+def _outcomes(
+    lift_height: float,
+    stride_gain: float,
+    lift_power_cost: float,
+    stumble_terminates: bool,
+) -> tuple[tuple[StepInfo, LabelSet, bool], ...]:
+    """The time-free outcome of every step under one physical config:
+    ``(info, next airborne set, stumbled)`` at index
+    ``settled << 5 | action << 1 | truncated``. The memo is typed, so an
+    int-valued config never shares outcomes with its float twin."""
+    # A lifted foot is at ``lift_height``, a planted one at 0.
+    heights = [
         tuple(lift_height if code >> prop.value & 1 else 0.0 for prop in PROP_ORDER)
         for code in range(16)
-    )
+    ]
+    outcomes = []
+    for settled in range(16):
+        for code in range(16):
+            n_airborne = code.bit_count()
+            n_planted = 4 - n_airborne
+            stumbled = n_planted < 2
+            changed = code != settled
+
+            # Balanced support = at least two planted feet; a stumble never advances.
+            delta_x = stride_gain if (changed and not stumbled) else 0.0
+            power = lift_power_cost * n_airborne
+            terminated = stumbled and stumble_terminates
+            foot_heights = heights[code]
+            for truncated in (False, True):
+                info = StepInfo(delta_x, power, foot_heights, terminated, truncated)
+                outcomes.append((info, ALL_LABEL_SETS[code], stumbled))
+    return tuple(outcomes)
+
+
+# Builds the per-step state without the NamedTuple's generated
+# ``__new__``, a Python-level call.
+_new_tuple = tuple.__new__
 
 
 def reset(config: ToyEnvConfig) -> ToyEnvState:
@@ -129,7 +165,7 @@ def reset(config: ToyEnvConfig) -> ToyEnvState:
     are deterministic, so every reset gives the same state."""
     return ToyEnvState(
         airborne=EMPTY_LABEL_SET,
-        foot_heights=_foot_heights(config.lift_height)[EMPTY_LABEL_SET.code],
+        foot_heights=(0.0, 0.0, 0.0, 0.0),
         base_x=0.0,
         fallen=False,
         step_count=0,
@@ -149,24 +185,18 @@ def step(
         )
     if not 0 <= action < 16:
         raise ValueError(f"action code must be in [0, 16), got {action}")
-    code = action
-    n_airborne = code.bit_count()
-    n_planted = 4 - n_airborne
-    stumbled = n_planted < 2
-    changed = code != state.airborne.code
-
-    # Balanced support = at least two planted feet; a stumble never advances.
-    delta_x = config.stride_gain if (changed and not stumbled) else 0.0
-    power = config.lift_power_cost * n_airborne
     step_count = state.step_count + 1
-    terminated = stumbled and config.stumble_terminates
     truncated = step_count >= config.episode_length
-
-    foot_heights = _foot_heights(config.lift_height)[code]
-    next_state = ToyEnvState(
-        ALL_LABEL_SETS[code], foot_heights, state.base_x + delta_x, stumbled, step_count
+    info, airborne, stumbled = _outcomes(
+        config.lift_height,
+        config.stride_gain,
+        config.lift_power_cost,
+        config.stumble_terminates,
+    )[state.airborne.code << 5 | action << 1 | truncated]
+    base_x = state.base_x + info.delta_x
+    next_state = _new_tuple(
+        ToyEnvState, (airborne, info.foot_heights, base_x, stumbled, step_count)
     )
-    info = StepInfo(delta_x, power, foot_heights, terminated, truncated)
     return next_state, info
 
 

@@ -48,6 +48,11 @@ class CrossProductObservation(NamedTuple):
     rm_state: RmState
 
 
+# Builds a per-step observation without the NamedTuple's generated
+# ``__new__``, a Python-level call.
+_new_tuple = tuple.__new__
+
+
 class MilestoneLatch(enum.Enum):
     """Whether pose A is latched: its bonus paid, and no pose-B bonus since."""
 
@@ -158,6 +163,7 @@ class GaitEnvWrapper:
         self.env = env if env is not None else ToyQuadrupedEnv()
         self.machine: RewardMachine | None = rm
         self.params = params if params is not None else RewardParams()
+        self._clearance = self.env.config.clearance
 
     @property
     def config(self) -> ToyEnvConfig:
@@ -215,13 +221,13 @@ class CrossProductWrapper(GaitEnvWrapper):
         self, action: int
     ) -> tuple[CrossProductObservation, float, bool, bool, StepInfo]:
         base, info = self.env.step(action)
-        labels = label(info, self.config.clearance)
+        labels = label(info, self._clearance)
         dst, spec = self._table[(self._u.index, labels.code)]
         reward = compute_reward(spec, info, self.params)
         self._u = dst
         terminated = info.terminated or self._accepting[dst.index]
         return (
-            CrossProductObservation(base, dst),
+            _new_tuple(CrossProductObservation, (base, dst)),
             reward,
             terminated,
             info.truncated,
@@ -297,7 +303,7 @@ class _LatchRewardWrapper(GaitEnvWrapper):
 
     def step(self, action: int) -> tuple[Any, float, bool, bool, StepInfo]:
         base, info = self.env.step(action)
-        labels = label(info, self.config.clearance)
+        labels = label(info, self._clearance)
         reward, self._latch = _latch_step(
             self._shape, self._latch, labels.code, info, self.params
         )
@@ -374,7 +380,7 @@ class AugmentedWrapper(_LatchRewardWrapper):
         return base + 16 * (fl | fr << 1 | bl << 2 | br << 3)
 
     def _reset_observation(self, base: int) -> tuple[int, int, int, int, int]:
-        labels = label(self.env.state, self.config.clearance)
+        labels = label(self.env.state, self._clearance)
         return self._step_observation(base, labels)
 
     def _step_observation(

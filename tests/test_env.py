@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import gaitrm.env as env_module
 from gaitrm.env import (
     EpisodeFinishedError,
     InvalidConfigError,
@@ -276,13 +277,19 @@ DYNAMICS_CONFIGS = {
     ),
     # A lifted foot sits exactly at clearance, the edge of being airborne.
     "lift_equals_clearance": ToyEnvConfig(clearance=0.05, lift_height=0.05),
+    # Int-valued physics: outcomes keep the config's own number types.
+    "int_valued": ToyEnvConfig(
+        lift_height=1, clearance=1, stride_gain=1, lift_power_cost=2
+    ),
 }
 
 
 @pytest.mark.parametrize("config_name", sorted(DYNAMICS_CONFIGS))
 def test_dynamics_over_every_pattern_and_action(config_name):
     """Every (previous contact pattern, action) pair, checked against the
-    rules in the README recomputed here from bit counts."""
+    rules in the README recomputed here from bit counts. Numbers are
+    compared by ``repr``, so an int where a float belongs (or the
+    reverse) fails as it would change a written CSV."""
     config = DYNAMICS_CONFIGS[config_name]
     reach = dataclasses.replace(config, stumble_terminates=False)
     env = ToyQuadrupedEnv(config)
@@ -303,20 +310,57 @@ def test_dynamics_over_every_pattern_and_action(config_name):
             heights = tuple(
                 config.lift_height if action >> i & 1 else 0.0 for i in range(4)
             )
-            assert info.delta_x == (config.stride_gain if progress else 0.0)
-            assert info.power == config.lift_power_cost * n_airborne
-            assert info.foot_heights == heights
+            assert repr(info.delta_x) == repr(config.stride_gain if progress else 0.0)
+            assert repr(info.power) == repr(config.lift_power_cost * n_airborne)
+            assert repr(info.foot_heights) == repr(heights)
             assert info.terminated == (stumbled and config.stumble_terminates)
             assert info.truncated == (2 >= config.episode_length)
             assert info.torques is None and info.joint_velocities is None
             assert after.fallen == stumbled
             assert after.step_count == 2
-            assert after.base_x == before.base_x + info.delta_x
+            assert repr(after.base_x) == repr(before.base_x + info.delta_x)
+            assert repr(after.foot_heights) == repr(heights)
             assert label(info, config.clearance).code == action
             assert label(after, config.clearance).code == action
             assert observe(after) == action
             env.set_state(before)
             assert env.step(action) == (action, info)
+
+
+INT_VALUED = DYNAMICS_CONFIGS["int_valued"]
+FLOAT_TWIN = ToyEnvConfig(
+    lift_height=1.0, clearance=1.0, stride_gain=1.0, lift_power_cost=2.0
+)
+
+
+def _episode_reprs(config):
+    """``repr`` of every state and step outcome along a short episode
+    that strides, idles and stumbles."""
+    state = reset(config)
+    reprs = [repr(state)]
+    for action in (9, 6, 6, 0, 7):
+        state, info = step(state, action, config)
+        reprs += [repr(state), repr(info)]
+    return reprs
+
+
+@pytest.mark.parametrize("first", [INT_VALUED, FLOAT_TWIN], ids=["int", "float"])
+def test_equal_configs_of_other_number_types_keep_their_own_outcomes(first):
+    """An int-valued config and its float twin compare equal, so a memo
+    that ignored argument types would hand the second config the
+    first's numbers. Step both in one process, in both orders."""
+    second = FLOAT_TWIN if first is INT_VALUED else INT_VALUED
+    assert first == second
+    env_module._outcomes.cache_clear()
+    together = [_episode_reprs(first), _episode_reprs(second)]
+    alone = []
+    for config in (first, second):
+        env_module._outcomes.cache_clear()
+        alone.append(_episode_reprs(config))
+    assert together == alone
+    for config, reprs in zip((first, second), alone):
+        lifted = "1" if config is INT_VALUED else "1.0"
+        assert f"foot_heights=({lifted}, 0.0, 0.0, {lifted})" in reprs[2]
 
 
 class TestStatefulShell:

@@ -92,3 +92,34 @@ def test_traced_layers_are_called():
         "env.step",
     ):
         assert tracer.calls[name] > 0, name
+
+
+def test_every_wrapper_step_is_one_env_step():
+    """Each wrapper step must reach the traced ``env.step`` exactly once,
+    or the evaluation-waste share, which divides by ``env.step`` calls,
+    stops measuring the wrappers. Every kind walks every action sequence
+    to depth 2 from reset, restoring a snapshot after each step."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer("contract")
+    rm = machine.build_gait_rm(machine.Gait.TROT)
+    kinds = tuple(wrappers.WrapperKind)
+    built = [wrappers.make_wrapper(kind, env.ToyQuadrupedEnv(), rm) for kind in kinds]
+    try:
+        tracing.instrument(tracer)
+        for wrapper in built:
+            wrapper.reset()
+            root = wrapper.snapshot()
+            for first in range(16):
+                _, _, terminated, truncated, _ = wrapper.step(first)
+                if not (terminated or truncated):
+                    middle = wrapper.snapshot()
+                    for second in range(16):
+                        wrapper.step(second)
+                        wrapper.restore(middle)
+                wrapper.restore(root)
+    finally:
+        tracer.restore()
+    wrapper_steps = [tracer.calls[f"wrappers.{kind.value}.step"] for kind in kinds]
+    # The five patterns with three or four feet up stumble and end the episode.
+    assert wrapper_steps == [16 + 11 * 16] * len(kinds)
+    assert tracer.calls["env.step"] == sum(wrapper_steps)
