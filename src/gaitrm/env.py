@@ -72,6 +72,11 @@ class ToyEnvConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
+        for name in ("clearance", "lift_height", "stride_gain", "lift_power_cost"):
+            # -0.0 == 0.0 with equal hashes: config-keyed memos would mix them.
+            value = getattr(self, name)
+            if value == 0.0 and math.copysign(1.0, value) < 0.0:
+                raise InvalidConfigError(f"{name} must not be -0.0")
         if self.clearance <= 0.0:
             raise InvalidConfigError(f"clearance must be > 0, got {self.clearance}")
         if self.lift_height < self.clearance:

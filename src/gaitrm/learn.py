@@ -19,8 +19,8 @@ import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple, Union
 
-from .env import ToyEnvConfig, ToyQuadrupedEnv, check_field_types, label
-from .machine import Gait, RewardMachine, RewardParams, transition_table
+from .env import ToyQuadrupedEnv, check_field_types, label
+from .machine import Gait, RewardMachine, transition_table
 from .wrappers import WRAPPER_CLASSES, GaitEnvWrapper, WrapperKind, base_pattern
 
 NUM_ACTIONS = 16
@@ -327,15 +327,11 @@ def evaluate(
 
 @dataclass(frozen=True, slots=True)
 class StepTable:
-    """A wrapper's time-free core compiled into flat tuples.
-
-    A core state is what the wrapper's step outcome depends on besides
-    the action: contact code, ``fallen``, and the machine state or
-    milestone latch; stack3's frame history is left out. Entry
-    ``state * NUM_ACTIONS + action`` holds the step's next core state,
-    reward, ``terminated`` flag and the discretized observation key.
-    State 0 is the reset state. Truncation is left to the caller, which
-    counts episode steps.
+    """A wrapper's product table (``GaitEnvWrapper.table``) walked from
+    reset into flat tuples, its cursors renumbered in the order the walk
+    meets them: state 0 is reset. Entry ``state * NUM_ACTIONS + action``
+    holds the step's next state, reward, ``terminated`` flag and the
+    discretized observation key. The caller counts steps to truncation.
 
     For stack3 the key entry is the newest frame's share ``256 * code``
     and the full key follows ``key >> 4`` plus that share, which is
@@ -350,66 +346,44 @@ class StepTable:
     stacked: bool
 
 
-def _time_free(snap: tuple, kind: WrapperKind) -> tuple:
-    """A wrapper snapshot with its time-dependent parts zeroed: step
-    count and base position, and stack3's frame history."""
-    env_state, *rest = snap
-    core = env_state._replace(base_x=0.0, step_count=0)
-    if kind is WrapperKind.STACK3:
-        rest[-1] = (0, 0, 0)
-    return (core, *rest)
-
-
-def _compile_steps(wrapper: GaitEnvWrapper) -> StepTable:
-    """Build the step table of every core state reachable from reset by
-    stepping ``wrapper`` itself from restored core snapshots. Rows of
-    core states that only terminating steps reach are never read and
-    hold ``None``."""
+@functools.lru_cache(maxsize=64)
+def _walk_product_table(table_key: tuple) -> StepTable:
+    """Walk the product table under ``table_key`` from reset, on a fresh
+    wrapper. Rows of cursors that only terminating steps reach are never
+    read and hold ``None``."""
+    cls, config, rm, params, _ = table_key
+    wrapper = cls(ToyQuadrupedEnv(config), rm, params)
     kind = wrapper.kind
+    stacked = kind is WrapperKind.STACK3
     initial_key = discretize(wrapper.reset(), kind)
-    cores = [_time_free(wrapper.snapshot(), kind)]
-    index = {cores[0]: 0}
+    cursors = [wrapper.cursor]
+    index = {cursors[0]: 0}
     rows: dict[int, list[tuple[int, float, bool, int]]] = {}
     frontier = [0]
     while frontier:
         state = frontier.pop()
         row = rows[state] = []
         for action in range(NUM_ACTIONS):
-            wrapper.restore(cores[state])
-            obs, reward, terminated, _, _ = wrapper.step(action)
-            core = _time_free(wrapper.snapshot(), kind)
-            nxt = index.get(core)
+            cursor, obs, reward, terminated = wrapper.table[cursors[state] << 4 | action]
+            nxt = index.get(cursor)
             if nxt is None:
-                nxt = index[core] = len(cores)
-                cores.append(core)
+                nxt = index[cursor] = len(cursors)
+                cursors.append(cursor)
             if not terminated and nxt not in rows and nxt not in frontier:
                 frontier.append(nxt)
-            row.append((nxt, reward, terminated, discretize(obs, kind)))
+            # A stack3 entry holds the newest frame alone.
+            key = discretize((0, 0, obs) if stacked else obs, kind)
+            row.append((nxt, reward, terminated, key))
     dead = [(None, None, None, None)] * NUM_ACTIONS
-    flat = [entry for s in range(len(cores)) for entry in rows.get(s, dead)]
-    next_state, reward, terminated, key = zip(*flat)
-    return StepTable(
-        next_state, reward, terminated, key, initial_key, kind is WrapperKind.STACK3
-    )
-
-
-@functools.lru_cache(maxsize=64)
-def _cached_step_table(
-    cls: type[GaitEnvWrapper],
-    config: ToyEnvConfig,
-    rm: RewardMachine | None,
-    params: RewardParams,
-) -> StepTable:
-    return _compile_steps(cls(ToyQuadrupedEnv(config), rm, params))
+    flat = [entry for s in range(len(cursors)) for entry in rows.get(s, dead)]
+    next_state, reward, terminated, keys = zip(*flat)
+    return StepTable(next_state, reward, terminated, keys, initial_key, stacked)
 
 
 def step_table(wrapper: GaitEnvWrapper) -> StepTable:
-    """The compiled step table for the wrapper's kind, environment
-    config, machine and reward params, built on a fresh wrapper at first
-    use and cached in-process."""
-    return _cached_step_table(
-        type(wrapper), wrapper.config, wrapper.machine, wrapper.params
-    )
+    """The wrapper's product table as a step table, walked at first use
+    and cached in-process under the product table's own key."""
+    return _walk_product_table(wrapper.table_key())
 
 
 def train(

@@ -7,6 +7,11 @@ augmented wrappers instead score steps with a history-based oracle that
 remembers one bit, whether pose A is latched; their reward streams match
 the cross-product stream step for step, they only differ in what the
 agent gets to observe.
+
+Each wrapper is a cursor over a product table compiled from the sources
+at its first reset or step (see ``_product_table``). A step makes one
+``env.step`` call, for the ``StepInfo``, truncation, position, step
+count and episode errors, and reads the rest from one table entry.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import functools
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
-from .env import StepInfo, ToyEnvConfig, ToyQuadrupedEnv, label
+from .env import StepInfo, ToyEnvConfig, ToyQuadrupedEnv, _outcomes, label
 from .guards import LabelSet, truth_table
 from .machine import (
     RewardMachine,
@@ -46,11 +51,6 @@ class CrossProductObservation(NamedTuple):
 
     base: int
     rm_state: RmState
-
-
-# Builds a per-step observation without the NamedTuple's generated
-# ``__new__``, a Python-level call.
-_new_tuple = tuple.__new__
 
 
 class MilestoneLatch(enum.Enum):
@@ -141,16 +141,48 @@ def base_pattern(observation: Any) -> int:
     raise TypeError(f"unrecognized observation: {observation!r}")
 
 
+# Latch values in level order: a latch wrapper's level indexes this.
+_LATCHES = tuple(MilestoneLatch)
+
+
+@functools.lru_cache(maxsize=64)
+def _product_table(table_key: tuple) -> tuple[tuple[int, Any, float, bool], ...]:
+    """Every step from every cursor, reachable or not: entry ``cursor
+    << 4 | action`` holds the next cursor, observation, reward and
+    ``terminated``, read from ``env._outcomes`` (untruncated; no reward
+    reads truncation), ``label``, and the ``_compile_step`` of the class
+    in ``table_key`` (see ``GaitEnvWrapper.table_key``). Entries of equal
+    ``repr`` are one object; equal value is not enough, as ``1 == 1.0``."""
+    cls, config, rm, params, _ = table_key
+    wrapper = cls(ToyQuadrupedEnv(config), rm, params)
+    physics = (config.lift_height, config.stride_gain, config.lift_power_cost)
+    outcomes = _outcomes(*physics, config.stumble_terminates)
+    entries, shared = [], {}
+    for level in range(wrapper._levels):
+        for settled in range(16):
+            for action in range(16):
+                info, airborne, _ = outcomes[settled << 5 | action << 1]
+                next_level, obs, reward, terminated = wrapper._compile_step(
+                    level, airborne.code, label(info, config.clearance), info
+                )
+                entry = (next_level << 4 | airborne.code, obs, reward, terminated)
+                entries.append(shared.setdefault(repr(entry), entry))
+    return tuple(entries)
+
+
 class GaitEnvWrapper:
     """Shared wrapper shell: owns the environment instance, the machine,
-    the reward params and the wrapper-specific reward/observation state.
-    One instance per run.
-
-    Each wrapper kind also owns its observation encoding: ``key`` maps an
-    observation injectively into ``range(key_space)``, the Q-table keys."""
+    the reward params and the cursor into the product table, which is
+    the level (machine state, latch, or 0) times 16 plus the settled
+    contact pattern. One instance per run. Each kind owns its reward
+    state, which ``_compile_step`` hands the table, and its observation
+    encoding: ``key`` maps an observation injectively into
+    ``range(key_space)``, the Q-table keys."""
 
     kind: WrapperKind
     key_space = 16
+    _levels = 1
+    _uses_machine = True
 
     def __init__(
         self,
@@ -158,12 +190,14 @@ class GaitEnvWrapper:
         rm: RewardMachine | None = None,
         params: RewardParams | None = None,
     ):
-        if rm is None:
+        if not self._uses_machine:
+            rm = None
+        elif rm is None:
             raise ValueError(f"{type(self).__name__} requires a reward machine")
         self.env = env if env is not None else ToyQuadrupedEnv()
         self.machine: RewardMachine | None = rm
         self.params = params if params is not None else RewardParams()
-        self._clearance = self.env.config.clearance
+        self.cursor = self._initial_level() << 4 | self.env.state.airborne.code
 
     @property
     def config(self) -> ToyEnvConfig:
@@ -173,17 +207,48 @@ class GaitEnvWrapper:
     def key(observation: Any) -> int:
         return observation
 
-    def reset(self) -> Any:
+    def table_key(self) -> tuple:
+        """What the product table is compiled from. ``1 == 1.0``, yet an
+        int-valued config or reward params steps to int rewards, so the
+        key also holds their ``repr``."""
+        config, params = self.env.config, self.params
+        return (type(self), config, self.machine, params, repr((config, params)))
+
+    @functools.cached_property
+    def table(self) -> tuple[tuple[int, Any, float, bool], ...]:
+        """The product table, compiled at the first reset or step."""
+        return _product_table(self.table_key())
+
+    def _initial_level(self) -> int:
+        return 0
+
+    def _compile_step(
+        self, level: int, base: int, labels: LabelSet, info: StepInfo
+    ) -> tuple[int, Any, float, bool]:
+        """Next level, observation, reward and ``terminated`` of a step."""
         raise NotImplementedError
+
+    def _reset_observation(self, base: int) -> Any:
+        return base
+
+    def reset(self) -> Any:
+        self.table  # compiled here or at the first step, never at construction
+        base = self.env.reset()
+        self.cursor = self._initial_level() << 4 | base
+        return self._reset_observation(base)
 
     def step(self, action: int) -> tuple[Any, float, bool, bool, StepInfo]:
-        raise NotImplementedError
+        _, info = self.env.step(action)
+        self.cursor, obs, reward, terminated = self.table[self.cursor << 4 | action]
+        return obs, reward, terminated, info.truncated, info
 
     def snapshot(self) -> tuple:
-        raise NotImplementedError
+        return (self.env.state,)
 
     def restore(self, snap: tuple) -> None:
-        raise NotImplementedError
+        (state,) = snap
+        self.env.set_state(state)
+        self.cursor = state.airborne.code
 
     def clone(self) -> "GaitEnvWrapper":
         """A fresh wrapper of the same kind, config, machine and params."""
@@ -200,9 +265,8 @@ class CrossProductWrapper(GaitEnvWrapper):
         super().__init__(*args, **kwargs)
         rm = self.machine
         self.key_space = 16 * len(rm.states)
-        self._table = transition_table(rm)
-        self._accepting = tuple(u in rm.accepting for u in rm.states)
-        self._u = rm.initial
+        self._levels = len(rm.states)
+        self._transitions = transition_table(rm)
 
     @staticmethod
     def key(observation: CrossProductObservation) -> int:
@@ -210,37 +274,27 @@ class CrossProductWrapper(GaitEnvWrapper):
 
     @property
     def rm_state(self) -> RmState:
-        return self._u
+        return self.machine.states[self.cursor >> 4]
 
-    def reset(self) -> CrossProductObservation:
-        base = self.env.reset()
-        self._u = self.machine.initial
-        return CrossProductObservation(base, self._u)
+    def _initial_level(self) -> int:
+        return self.machine.initial.index
 
-    def step(
-        self, action: int
-    ) -> tuple[CrossProductObservation, float, bool, bool, StepInfo]:
-        base, info = self.env.step(action)
-        labels = label(info, self._clearance)
-        dst, spec = self._table[(self._u.index, labels.code)]
+    def _reset_observation(self, base: int) -> CrossProductObservation:
+        return CrossProductObservation(base, self.machine.initial)
+
+    def _compile_step(self, level: int, base: int, labels: LabelSet, info: StepInfo):
+        dst, spec = self._transitions[(level, labels.code)]
+        terminated = info.terminated or dst in self.machine.accepting
         reward = compute_reward(spec, info, self.params)
-        self._u = dst
-        terminated = info.terminated or self._accepting[dst.index]
-        return (
-            _new_tuple(CrossProductObservation, (base, dst)),
-            reward,
-            terminated,
-            info.truncated,
-            info,
-        )
+        return dst.index, CrossProductObservation(base, dst), reward, terminated
 
     def snapshot(self) -> tuple:
-        return (self.env.state, self._u)
+        return (self.env.state, self.rm_state)
 
     def restore(self, snap: tuple) -> None:
         state, u = snap
         self.env.set_state(state)
-        self._u = u
+        self.cursor = u.index << 4 | state.airborne.code
 
 
 class NoGaitWrapper(GaitEnvWrapper):
@@ -248,31 +302,11 @@ class NoGaitWrapper(GaitEnvWrapper):
 
     kind = WrapperKind.NO_GAIT
 
-    def __init__(
-        self,
-        env: ToyQuadrupedEnv | None = None,
-        rm: RewardMachine | None = None,
-        params: RewardParams | None = None,
-    ):
-        # The walk reward reads no machine, so none is required or kept.
-        self.env = env if env is not None else ToyQuadrupedEnv()
-        self.machine = None
-        self.params = params if params is not None else RewardParams()
-        self._walk = Walk()
+    # The walk reward reads no machine, so none is required or kept.
+    _uses_machine = False
 
-    def reset(self) -> int:
-        return self.env.reset()
-
-    def step(self, action: int) -> tuple[int, float, bool, bool, StepInfo]:
-        base, info = self.env.step(action)
-        reward = compute_reward(self._walk, info, self.params)
-        return base, reward, info.terminated, info.truncated, info
-
-    def snapshot(self) -> tuple:
-        return (self.env.state,)
-
-    def restore(self, snap: tuple) -> None:
-        self.env.set_state(snap[0])
+    def _compile_step(self, level: int, base: int, labels: LabelSet, info: StepInfo):
+        return 0, base, compute_reward(Walk(), info, self.params), info.terminated
 
 
 class _LatchRewardWrapper(GaitEnvWrapper):
@@ -281,47 +315,33 @@ class _LatchRewardWrapper(GaitEnvWrapper):
     wrappers is non-Markovian: the reward depends on the latch, which the
     agent never sees."""
 
+    _levels = len(_LATCHES)
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._shape = gait_shape(self.machine)
-        self._latch = MilestoneLatch.NONE
 
     @property
     def latch(self) -> MilestoneLatch:
-        return self._latch
-
-    def _reset_observation(self, base: int) -> Any:
-        return base
+        return _LATCHES[self.cursor >> 4]
 
     def _step_observation(self, base: int, labels: LabelSet) -> Any:
         return base
 
-    def reset(self) -> Any:
-        base = self.env.reset()
-        self._latch = MilestoneLatch.NONE
-        return self._reset_observation(base)
-
-    def step(self, action: int) -> tuple[Any, float, bool, bool, StepInfo]:
-        base, info = self.env.step(action)
-        labels = label(info, self._clearance)
-        reward, self._latch = _latch_step(
-            self._shape, self._latch, labels.code, info, self.params
+    def _compile_step(self, level: int, base: int, labels: LabelSet, info: StepInfo):
+        reward, latch = _latch_step(
+            self._shape, _LATCHES[level], labels.code, info, self.params
         )
-        return (
-            self._step_observation(base, labels),
-            reward,
-            info.terminated,
-            info.truncated,
-            info,
-        )
+        obs = self._step_observation(base, labels)
+        return _LATCHES.index(latch), obs, reward, info.terminated
 
     def snapshot(self) -> tuple:
-        return (self.env.state, self._latch)
+        return (self.env.state, self.latch)
 
     def restore(self, snap: tuple) -> None:
         state, latch = snap
         self.env.set_state(state)
-        self._latch = latch
+        self.cursor = _LATCHES.index(latch) << 4 | state.airborne.code
 
 
 class NaiveWrapper(_LatchRewardWrapper):
@@ -332,7 +352,8 @@ class NaiveWrapper(_LatchRewardWrapper):
 
 class Stack3Wrapper(_LatchRewardWrapper):
     """Observation is the three most recent base observations in
-    chronological order, padded by repeating the reset observation."""
+    chronological order, padded by repeating the reset observation.
+    The table holds the newest frame; the history is kept per step."""
 
     kind = WrapperKind.STACK3
     key_space = 16**3
@@ -350,17 +371,17 @@ class Stack3Wrapper(_LatchRewardWrapper):
         self._stack = (base, base, base)
         return self._stack
 
-    def _step_observation(self, base: int, labels: LabelSet) -> tuple[int, int, int]:
+    def step(self, action: int) -> tuple[Any, float, bool, bool, StepInfo]:
+        base, reward, terminated, truncated, info = super().step(action)
         self._stack = (self._stack[1], self._stack[2], base)
-        return self._stack
+        return self._stack, reward, terminated, truncated, info
 
     def snapshot(self) -> tuple:
-        return (self.env.state, self._latch, self._stack)
+        return (self.env.state, self.latch, self._stack)
 
     def restore(self, snap: tuple) -> None:
         state, latch, stack = snap
-        self.env.set_state(state)
-        self._latch = latch
+        super().restore((state, latch))
         self._stack = stack
 
 
@@ -380,7 +401,7 @@ class AugmentedWrapper(_LatchRewardWrapper):
         return base + 16 * (fl | fr << 1 | bl << 2 | br << 3)
 
     def _reset_observation(self, base: int) -> tuple[int, int, int, int, int]:
-        labels = label(self.env.state, self._clearance)
+        labels = label(self.env.state, self.config.clearance)
         return self._step_observation(base, labels)
 
     def _step_observation(

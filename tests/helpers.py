@@ -27,7 +27,6 @@ from gaitrm.learn import (
     NUM_ACTIONS,
     EvalMetrics,
     LearnerConfig,
-    _time_free,
     discretize,
     greedy_action,
     q_update,
@@ -44,6 +43,7 @@ from gaitrm.wrappers import (
     CrossProductWrapper,
     MilestoneLatch,
     NaiveWrapper,
+    WrapperKind,
     _latch_step,
     gait_shape,
 )
@@ -166,6 +166,16 @@ def check_equivalence_exhaustive(gait: Gait, depth: int) -> int:
     return compared
 
 
+def time_free(snap: tuple, kind: WrapperKind) -> tuple:
+    """A wrapper snapshot with its time-dependent parts zeroed: step
+    count and base position, and stack3's frame history."""
+    env_state, *rest = snap
+    core = env_state._replace(base_x=0.0, step_count=0)
+    if kind is WrapperKind.STACK3:
+        rest[-1] = (0, 0, 0)
+    return (core, *rest)
+
+
 def joint_walk(gait: Gait, config: ToyEnvConfig | None = None) -> set[tuple]:
     """Breadth-first over the (cross core, naive core) pairs that one
     action sequence reaches in both wrappers, stepping each through its
@@ -178,7 +188,7 @@ def joint_walk(gait: Gait, config: ToyEnvConfig | None = None) -> set[tuple]:
     naive.reset()
 
     def pair() -> tuple:
-        return tuple(_time_free(w.snapshot(), w.kind) for w in (cross, naive))
+        return tuple(time_free(w.snapshot(), w.kind) for w in (cross, naive))
 
     pairs = {pair()}
     frontier = collections.deque([(cross.snapshot(), naive.snapshot())])

@@ -212,6 +212,24 @@ class TestTrain:
         assert field in err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "diagram"])
+    def test_negative_zero_in_env_config_is_semantic_error(self, capsys, tmp_path, command):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"env": {"stride_gain": -0.0}}))
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--gait", "trot", "--seeds", "1", "--out", str(out),
+                      *TINY_TRAIN],
+            "eval": ["eval", "--policy", "reference:trot", "--gait", "trot"],
+            "diagram": ["diagram", "--policy", "reference:trot", "--gait", "trot",
+                        "--out", str(out / "diagram.csv")],
+        }[command]
+        code, stdout, err = run(capsys, *argv, "--config", str(config))
+        assert code == 2
+        assert stdout == ""
+        assert "stride_gain must not be -0.0" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, field", [("env", "clearance"), ("reward", "bonus_b")])
     def test_number_too_large_for_a_float_is_semantic_error(
         self, capsys, tmp_path, section, field

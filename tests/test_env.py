@@ -49,6 +49,17 @@ class TestConfig:
         with pytest.raises(InvalidConfigError):
             ToyEnvConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name", ["clearance", "lift_height", "stride_gain", "lift_power_cost"]
+    )
+    def test_negative_zero_rejected(self, name):
+        """-0.0 equals 0.0 and hashes alike, so a memo keyed by config
+        values would give a later 0.0 config the earlier one's sign."""
+        with pytest.raises(InvalidConfigError, match=f"{name} must not be -0.0"):
+            ToyEnvConfig(**{name: -0.0})
+        config = ToyEnvConfig(stride_gain=0.0, lift_power_cost=0.0)
+        assert (config.stride_gain, config.lift_power_cost) == (0.0, 0.0)
+
     @pytest.mark.parametrize("kwargs", [
         {"episode_length": 2.5},
         {"episode_length": True},

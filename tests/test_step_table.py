@@ -1,5 +1,7 @@
 """The compiled step tables that ``train`` runs on, checked against the
-wrappers they are compiled from over the whole finite reachable space."""
+wrappers they are compiled from over the whole finite reachable space.
+The wrappers' own steps are proved against the sources in
+``test_product_table.py``."""
 
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from gaitrm.guards import Not, conjunction_for
 from gaitrm.machine import (
     Gait,
     RewardMachine,
+    RewardParams,
     RmState,
     SwitchPoseBonus,
     Transition,
@@ -194,6 +197,22 @@ def test_tables_are_cached_per_configuration():
     assert step_table(naive) is step_table(naive.clone())
     assert step_table(naive) is not step_table(stack3)
     assert step_table(naive) is not step_table(other)
+
+
+def test_step_tables_keep_number_types():
+    """An int-valued config equals its float twin, but under an int
+    energy weight its rewards are ints; each must get its own table."""
+    rm, params = build_gait_rm(Gait.TROT), RewardParams(w_e=1)
+    twins = (
+        ToyEnvConfig(lift_height=1, clearance=1, stride_gain=1, lift_power_cost=2),
+        ToyEnvConfig(lift_height=1.0, clearance=1.0, stride_gain=1.0, lift_power_cost=2.0),
+    )
+    assert twins[0] == twins[1]
+    rewards = [
+        repr(step_table(make_wrapper("naive", ToyQuadrupedEnv(c), rm, params)).reward)
+        for c in twins
+    ]
+    assert "-1," in rewards[0] and "-1.0," in rewards[1]
 
 
 # The learner configs ``train`` must match the reference on: one full
