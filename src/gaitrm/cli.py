@@ -49,6 +49,8 @@ EXIT_IO = 1
 EXIT_SEMANTIC = 2
 
 MANIFEST_NAME = "manifest.json"
+# The largest seed count ``train --seeds N`` accepts.
+MAX_SEED_COUNT = 10_000
 COMPARE_NAME = "compare.csv"
 
 
@@ -105,6 +107,10 @@ def _parse_seeds(text: str) -> list[int]:
     count = int(text)
     if count <= 0:
         raise CliSemanticError(f"seed count must be positive, got {count}")
+    if count > MAX_SEED_COUNT:
+        raise CliSemanticError(
+            f"seed count must be at most {MAX_SEED_COUNT}, got {count}"
+        )
     return list(range(count))
 
 
@@ -564,7 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seeds",
         default="5",
-        help="seed count N (runs 0..N-1) or explicit comma list, e.g. 0,3,7",
+        help=f"seed count N <= {MAX_SEED_COUNT} (runs 0..N-1) "
+        "or explicit comma list, e.g. 0,3,7",
     )
     p.add_argument("--out", required=True, help="output directory")
 

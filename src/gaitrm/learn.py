@@ -2,16 +2,16 @@
 protocol that scores every approach by the same pose-transition count.
 
 Policies are Q-tables mapping discrete observation keys to 16-entry
-action-value rows. Evaluation deploys a policy greedily for a fixed
-number of episodes and reports mean return, mean pose transitions
-(counted by stepping the machine's transition table on each step's
-labels, regardless of what the policy observed during training) and
-mean distance travelled.
+action-value rows. Training indexes the wrapper's compiled product
+table (``GaitEnvWrapper.table``), whose entries carry each step's key.
+Evaluation deploys a policy greedily for a fixed number of episodes and
+reports mean return, mean pose transitions (counted by stepping the
+machine's transition table on each step's labels, regardless of what
+the policy observed during training) and mean distance travelled.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -19,7 +19,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple, Union
 
-from .env import ToyQuadrupedEnv, check_field_types, label
+from .env import check_field_types, label
 from .machine import Gait, RewardMachine, transition_table
 from .wrappers import WRAPPER_CLASSES, GaitEnvWrapper, WrapperKind, base_pattern
 
@@ -325,67 +325,6 @@ def evaluate(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class StepTable:
-    """A wrapper's product table (``GaitEnvWrapper.table``) walked from
-    reset into flat tuples, its cursors renumbered in the order the walk
-    meets them: state 0 is reset. Entry ``state * NUM_ACTIONS + action``
-    holds the step's next state, reward, ``terminated`` flag and the
-    discretized observation key. The caller counts steps to truncation.
-
-    For stack3 the key entry is the newest frame's share ``256 * code``
-    and the full key follows ``key >> 4`` plus that share, which is
-    ``discretize`` of the shifted stack (``stacked`` is set).
-    """
-
-    next_state: tuple[int, ...]
-    reward: tuple[float, ...]
-    terminated: tuple[bool, ...]
-    key: tuple[int, ...]
-    initial_key: int
-    stacked: bool
-
-
-@functools.lru_cache(maxsize=64)
-def _walk_product_table(table_key: tuple) -> StepTable:
-    """Walk the product table under ``table_key`` from reset, on a fresh
-    wrapper. Rows of cursors that only terminating steps reach are never
-    read and hold ``None``."""
-    cls, config, rm, params, _ = table_key
-    wrapper = cls(ToyQuadrupedEnv(config), rm, params)
-    kind = wrapper.kind
-    stacked = kind is WrapperKind.STACK3
-    initial_key = discretize(wrapper.reset(), kind)
-    cursors = [wrapper.cursor]
-    index = {cursors[0]: 0}
-    rows: dict[int, list[tuple[int, float, bool, int]]] = {}
-    frontier = [0]
-    while frontier:
-        state = frontier.pop()
-        row = rows[state] = []
-        for action in range(NUM_ACTIONS):
-            cursor, obs, reward, terminated = wrapper.table[cursors[state] << 4 | action]
-            nxt = index.get(cursor)
-            if nxt is None:
-                nxt = index[cursor] = len(cursors)
-                cursors.append(cursor)
-            if not terminated and nxt not in rows and nxt not in frontier:
-                frontier.append(nxt)
-            # A stack3 entry holds the newest frame alone.
-            key = discretize((0, 0, obs) if stacked else obs, kind)
-            row.append((nxt, reward, terminated, key))
-    dead = [(None, None, None, None)] * NUM_ACTIONS
-    flat = [entry for s in range(len(cursors)) for entry in rows.get(s, dead)]
-    next_state, reward, terminated, keys = zip(*flat)
-    return StepTable(next_state, reward, terminated, keys, initial_key, stacked)
-
-
-def step_table(wrapper: GaitEnvWrapper) -> StepTable:
-    """The wrapper's product table as a step table, walked at first use
-    and cached in-process under the product table's own key."""
-    return _walk_product_table(wrapper.table_key())
-
-
 def train(
     wrapper: GaitEnvWrapper,
     config: LearnerConfig,
@@ -393,11 +332,11 @@ def train(
 ) -> tuple[QTable, list[tuple[int, EvalMetrics]]]:
     """Epsilon-greedy tabular Q-learning on the wrapper's observations.
 
-    Steps run on the wrapper's compiled step table (see
-    ``step_table``), which reproduces ``wrapper.step`` exactly; the
-    wrapper itself is only cloned. Returns the learned table and a curve
-    of periodic greedy evaluations. Fully determined by (config.seed,
-    configs).
+    Steps index the wrapper's product table (``GaitEnvWrapper.table``)
+    from the reset cursor, as ``wrapper.step`` does, and read each
+    step's Q-table key from the entry; the wrapper itself is only
+    cloned. Returns the learned table and a curve of periodic greedy
+    evaluations. Fully determined by (config.seed, configs).
 
     Every evaluation point calls ``evaluate`` on one clone that lives
     for the whole run, so a point whose greedy path is unchanged since
@@ -413,25 +352,24 @@ def train(
     eval_wrapper = wrapper.clone()
     curve: list[tuple[int, EvalMetrics]] = []
 
-    table = step_table(wrapper)
-    next_states, rewards, terminals, keys = (
-        table.next_state, table.reward, table.terminated, table.key
-    )
-    stacked = table.stacked
+    table = eval_wrapper.table
+    initial_key = eval_wrapper.key(eval_wrapper.reset())
+    initial_cursor = eval_wrapper.cursor
+    # A stack3 entry's key is the newest frame's share; the older two
+    # frames are the previous key shifted down one frame.
+    stacked = eval_wrapper.kind is WrapperKind.STACK3
     n_actions = NUM_ACTIONS
     # ``rng.randrange(n_actions)`` draws ``getrandbits`` of this many bits
     # until the result is below ``n_actions``; drawing the same way here
     # keeps the random stream and skips its per-call argument checks.
     action_bits = n_actions.bit_length()
-    initial_key = table.initial_key
     episode_length = wrapper.config.episode_length
-    total = config.total_steps
+    total, every = config.total_steps, config.eval_every
     epsilons = epsilon_schedule(config)
-    eval_points = list(range(config.eval_every, total, config.eval_every))
-    if total:
-        eval_points.append(total)
+    # Walked lazily: a budget may have more points than a list can hold.
+    eval_points = itertools.chain(range(every, total, every), (total,) if total else ())
 
-    state, key, episode_step = 0, initial_key, 0
+    cursor, key, episode_step = initial_cursor, initial_key, 0
     done_steps = 0
     for step_number in eval_points:
         for eps in itertools.islice(epsilons, step_number - done_steps):
@@ -441,19 +379,19 @@ def train(
                     action = getrandbits(action_bits)
             else:
                 action = greedy(q, key)
-            i = state * n_actions + action
-            terminated = terminals[i]
-            next_key = keys[i] + (key >> 4 if stacked else 0)
+            cursor, _, reward, terminated, next_key = table[cursor << 4 | action]
+            if stacked:
+                next_key += key >> 4
             # The task is continuing; the 100-action cutoff is a rollout
             # boundary, not a terminal state, so bootstrap across it.
             # Treating truncation as terminal makes cycle values depend on
             # the hidden time-to-cutoff and destabilizes the greedy policy.
-            update(q, key, action, rewards[i], next_key, terminated, config)
+            update(q, key, action, reward, next_key, terminated, config)
             episode_step += 1
             if terminated or episode_step >= episode_length:
-                state, key, episode_step = 0, initial_key, 0
+                cursor, key, episode_step = initial_cursor, initial_key, 0
             else:
-                state, key = next_states[i], next_key
+                key = next_key
         done_steps = step_number
         metrics = evaluate(
             q, eval_wrapper, tracker_rm=tracker_rm, episodes=config.eval_episodes

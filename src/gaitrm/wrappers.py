@@ -12,6 +12,7 @@ Each wrapper is a cursor over a product table compiled from the sources
 at its first reset or step (see ``_product_table``). A step makes one
 ``env.step`` call, for the ``StepInfo``, truncation, position, step
 count and episode errors, and reads the rest from one table entry.
+``learn.train`` indexes the same table directly, from the reset cursor.
 """
 
 from __future__ import annotations
@@ -145,27 +146,41 @@ def base_pattern(observation: Any) -> int:
 _LATCHES = tuple(MilestoneLatch)
 
 
-@functools.lru_cache(maxsize=64)
-def _product_table(table_key: tuple) -> tuple[tuple[int, Any, float, bool], ...]:
+@functools.lru_cache(maxsize=64, typed=True)
+def _product_table(
+    cls: type[GaitEnvWrapper],
+    rm: RewardMachine | None,
+    w_e: float,
+    clearance: float,
+    lift_height: float,
+    stride_gain: float,
+    lift_power_cost: float,
+    stumble_terminates: bool,
+) -> tuple[tuple[int, Any, float, bool, int], ...]:
     """Every step from every cursor, reachable or not: entry ``cursor
-    << 4 | action`` holds the next cursor, observation, reward and
-    ``terminated``, read from ``env._outcomes`` (untruncated; no reward
-    reads truncation), ``label``, and the ``_compile_step`` of the class
-    in ``table_key`` (see ``GaitEnvWrapper.table_key``). Entries of equal
-    ``repr`` are one object; equal value is not enough, as ``1 == 1.0``."""
-    cls, config, rm, params, _ = table_key
-    wrapper = cls(ToyQuadrupedEnv(config), rm, params)
-    physics = (config.lift_height, config.stride_gain, config.lift_power_cost)
-    outcomes = _outcomes(*physics, config.stumble_terminates)
+    << 4 | action`` holds the next cursor, observation, reward,
+    ``terminated`` and the observation's Q-table key, read from
+    ``env._outcomes`` (untruncated; no reward reads truncation),
+    ``label`` and ``cls._compile_step``. A stack3 entry holds the newest
+    frame and that frame's share of the key, ``256 * code``.
+
+    The memo is keyed on exactly what the entries read, and typed, so
+    an int-valued argument never shares its equal float twin's table
+    (its rewards may be ints). Entries of equal ``repr`` are one object;
+    equal value is not enough, as ``1 == 1.0``."""
+    wrapper = cls(None, rm, RewardParams(w_e=w_e))
+    outcomes = _outcomes(lift_height, stride_gain, lift_power_cost, stumble_terminates)
+    stacked = cls.kind is WrapperKind.STACK3
     entries, shared = [], {}
     for level in range(wrapper._levels):
         for settled in range(16):
             for action in range(16):
                 info, airborne, _ = outcomes[settled << 5 | action << 1]
                 next_level, obs, reward, terminated = wrapper._compile_step(
-                    level, airborne.code, label(info, config.clearance), info
+                    level, airborne.code, label(info, clearance), info
                 )
-                entry = (next_level << 4 | airborne.code, obs, reward, terminated)
+                key = cls.key((0, 0, obs) if stacked else obs)
+                entry = (next_level << 4 | airborne.code, obs, reward, terminated, key)
                 entries.append(shared.setdefault(repr(entry), entry))
     return tuple(entries)
 
@@ -207,17 +222,14 @@ class GaitEnvWrapper:
     def key(observation: Any) -> int:
         return observation
 
-    def table_key(self) -> tuple:
-        """What the product table is compiled from. ``1 == 1.0``, yet an
-        int-valued config or reward params steps to int rewards, so the
-        key also holds their ``repr``."""
-        config, params = self.env.config, self.params
-        return (type(self), config, self.machine, params, repr((config, params)))
-
     @functools.cached_property
-    def table(self) -> tuple[tuple[int, Any, float, bool], ...]:
+    def table(self) -> tuple[tuple[int, Any, float, bool, int], ...]:
         """The product table, compiled at the first reset or step."""
-        return _product_table(self.table_key())
+        c = self.env.config
+        return _product_table(
+            type(self), self.machine, self.params.w_e, c.clearance,
+            c.lift_height, c.stride_gain, c.lift_power_cost, c.stumble_terminates,
+        )
 
     def _initial_level(self) -> int:
         return 0
@@ -239,7 +251,7 @@ class GaitEnvWrapper:
 
     def step(self, action: int) -> tuple[Any, float, bool, bool, StepInfo]:
         _, info = self.env.step(action)
-        self.cursor, obs, reward, terminated = self.table[self.cursor << 4 | action]
+        self.cursor, obs, reward, terminated, _ = self.table[self.cursor << 4 | action]
         return obs, reward, terminated, info.truncated, info
 
     def snapshot(self) -> tuple:

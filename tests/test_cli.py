@@ -246,7 +246,14 @@ class TestTrain:
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize(
-        "seeds, message", [("0,0", "more than once"), (",", "names no seed")]
+        "seeds, message",
+        [
+            ("0,0", "more than once"),
+            (",", "names no seed"),
+            # Too many to list (OverflowError) or to hold (MemoryError).
+            ("100000000000000000000", "at most 10000"),
+            ("10000000000000000", "at most 10000"),
+        ],
     )
     def test_bad_seed_list_is_semantic_error(self, capsys, tmp_path, seeds, message):
         out = tmp_path / "x"
@@ -257,6 +264,7 @@ class TestTrain:
         assert code == 2
         assert message in err
         assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
 
 POLICY_HEADER = "key," + ",".join(f"q{a}" for a in range(16))

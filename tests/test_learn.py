@@ -425,6 +425,28 @@ class TestTrain:
         assert curve == []
         assert greedy_action(q, 0) == 0
 
+    def test_budget_past_a_list_of_points_trains_to_its_first(self, monkeypatch):
+        """A budget with more evaluation points than a list can hold
+        (MemoryError at 2**63 points, OverflowError past it) trains to
+        its first point as a one-point budget does; epsilon is flat, so
+        the total does not change the schedule."""
+        rm = build_gait_rm(Gait.TROT)
+        flat = dict(eval_every=10, epsilon_start=0.3, epsilon_end=0.3, seed=3)
+        q_small, _ = train(NaiveWrapper(rm=rm), LearnerConfig(total_steps=10, **flat))
+
+        class FirstPoint(Exception):
+            pass
+
+        def stop(q, *args, **kwargs):
+            raise FirstPoint(q)
+
+        monkeypatch.setattr(learn, "evaluate", stop)
+        for points in (2**63, 2**64):
+            config = LearnerConfig(total_steps=points * 10, **flat)
+            with pytest.raises(FirstPoint) as stopped:
+                train(NaiveWrapper(rm=rm), config)
+            assert stopped.value.args[0] == q_small
+
     def test_reproducibility_bit_identical(self):
         rm = build_gait_rm(Gait.TROT)
         config = LearnerConfig(total_steps=6000, eval_every=2000, seed=17)
@@ -461,7 +483,7 @@ class TestTrain:
     def record_stepping_rollouts(monkeypatch, wrapper_cls):
         """Patch ``learn.rollout`` to append, per call, the number of
         learner updates so far and whether the call stepped a wrapper.
-        Compile the wrapper's step table before training, so that only
+        Compile the wrapper's product table before training, so that only
         evaluation steps are counted."""
         calls: list[tuple[int, bool]] = []
         updates = steps = 0
@@ -492,7 +514,7 @@ class TestTrain:
         rm = build_gait_rm(Gait.TROT)
         config = LearnerConfig(total_steps=20_000, eval_every=1_000)
         wrapper = CrossProductWrapper(ToyQuadrupedEnv(), rm)
-        learn.step_table(wrapper)
+        wrapper.table
         calls = self.record_stepping_rollouts(monkeypatch, CrossProductWrapper)
         q, curve = train(wrapper, config)
         monkeypatch.undo()
@@ -511,7 +533,7 @@ class TestTrain:
         rm = build_gait_rm(Gait.TROT)
         config = LearnerConfig(total_steps=20_000, eval_every=1_000)
         wrapper = Stack3Wrapper(ToyQuadrupedEnv(), rm)
-        learn.step_table(wrapper)
+        wrapper.table
         calls = self.record_stepping_rollouts(monkeypatch, Stack3Wrapper)
         q, curve = train(wrapper, config)
         monkeypatch.undo()

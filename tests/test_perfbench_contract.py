@@ -68,7 +68,7 @@ def test_traced_layers_are_called():
     on the path ``train`` and ``evaluate`` take, or its metric reads 0.
     The no-gait wrapper neither labels steps nor reads a transition
     table, so those two layers count only ``learn``'s own calls, and its
-    step table is compiled up front so that only evaluation's calls are
+    product table is compiled up front so that only evaluation's calls are
     counted."""
     tracing = load_tracing()
     tracer = tracing.Tracer("contract")
@@ -76,7 +76,7 @@ def test_traced_layers_are_called():
     config = env.ToyEnvConfig(episode_length=5)
     wrapper = wrappers.NoGaitWrapper(env.ToyQuadrupedEnv(config))
     learner = learn.LearnerConfig(total_steps=10, eval_every=10, eval_episodes=1)
-    learn.step_table(wrapper)
+    wrapper.table
     try:
         tracing.instrument(tracer)
         q, _ = learn.train(wrapper, learner, tracker_rm=rm)

@@ -1,16 +1,15 @@
-"""The compiled step tables that ``train`` runs on, checked against the
-wrappers they are compiled from over the whole finite reachable space.
-The wrappers' own steps are proved against the sources in
-``test_product_table.py``."""
+"""The structure of the product table that the wrappers step on and
+``train`` indexes: its reachable cursors, its keys, which tables equal
+which under a key map, and when two wrappers share one. Its steps are
+proved against the sources in ``test_product_table.py``; here ``train``
+is checked against stepping the wrapper."""
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
 from gaitrm.env import ToyEnvConfig, ToyQuadrupedEnv
-from gaitrm.learn import NUM_ACTIONS, LearnerConfig, discretize, step_table, train
+from gaitrm.learn import NUM_ACTIONS, LearnerConfig, discretize, train
 from gaitrm.guards import Not, conjunction_for
 from gaitrm.machine import (
     Gait,
@@ -23,7 +22,12 @@ from gaitrm.machine import (
     build_gait_rm,
     validate,
 )
-from gaitrm.wrappers import CrossProductWrapper, WrapperKind, make_wrapper
+from gaitrm.wrappers import (
+    CrossProductWrapper,
+    WrapperKind,
+    _product_table,
+    make_wrapper,
+)
 from helpers import train_by_stepping
 
 CONFIGS = {
@@ -36,98 +40,81 @@ def make(kind: WrapperKind, gait: Gait, config: ToyEnvConfig):
     return make_wrapper(kind, ToyQuadrupedEnv(config), build_gait_rm(gait))
 
 
-# (core states, live core states) per config. Every gait kind compiles
-# to the cross product's states, since the latch is one bit that mirrors
-# the machine state; no_gait keeps the contact states alone. Fallen
-# states have no row when a stumble terminates.
-CORE_STATES = {
+# (reachable cursors, live cursors) from reset per config: every cursor a
+# step enters, and the reset cursor plus those a non-terminating step
+# enters. Every gait kind has the cross product's, since the latch is
+# one bit that mirrors the machine state; no_gait keeps the contact
+# patterns alone.
+CURSORS = {
     "default": {"gait": (30, 20), "no_gait": (16, 11)},
     "no_stumble_len7": {"gait": (30, 30), "no_gait": (16, 16)},
 }
 
 
-def real_core(snap: tuple, kind: WrapperKind) -> tuple:
-    """Contact pattern, fallen flag and machine state or latch of a
-    wrapper snapshot; stack3's frame history is dropped."""
-    env_state, *rest = snap
-    if kind is WrapperKind.STACK3:
-        rest = rest[:-1]
-    return (env_state.airborne, env_state.fallen, *rest)
+def reachable_cursors(wrapper) -> tuple[set[int], set[int]]:
+    """Walk the wrapper's product table from its reset cursor."""
+    wrapper.reset()
+    live = [wrapper.cursor]
+    reached = set(live)
+    for cursor in live:
+        for action in range(NUM_ACTIONS):
+            nxt, _, _, terminated, _ = wrapper.table[cursor << 4 | action]
+            reached.add(nxt)
+            if not terminated and nxt not in live:
+                live.append(nxt)
+    return reached, set(live)
 
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 @pytest.mark.parametrize("gait", list(Gait), ids=lambda g: g.value)
 @pytest.mark.parametrize("kind", list(WrapperKind), ids=lambda k: k.value)
-def test_table_agrees_with_wrapper_step_on_every_reachable_state(kind, gait, config_name):
-    config = CONFIGS[config_name]
-    wrapper = make(kind, gait, config)
-    table = step_table(wrapper)
-    assert discretize(wrapper.reset(), kind) == table.initial_key
-    assert table.initial_key in range(wrapper.key_space)
-
-    # Breadth-first over the wrapper's own reachable states, each paired
-    # with the table state the table says it is in.
-    start = real_core(wrapper.snapshot(), kind)
-    table_state_of = {start: 0}
-    frontier = [(wrapper.snapshot(), 0, table.initial_key, 0)]
-    compared = 0
-    while frontier:
-        snap, state, key, depth = frontier.pop(0)
-        for action in range(NUM_ACTIONS):
-            wrapper.restore(snap)
-            obs, reward, terminated, truncated, _ = wrapper.step(action)
-            i = state * NUM_ACTIONS + action
-            next_key = table.key[i] + (key >> 4 if table.stacked else 0)
-            assert (table.reward[i], table.terminated[i], next_key) == (
-                reward, terminated, discretize(obs, kind)
-            ), (state, action)
-            assert truncated == (depth + 1 >= config.episode_length)
-            assert next_key in range(wrapper.key_space)
-            compared += 1
-            core = real_core(wrapper.snapshot(), kind)
-            nxt = table.next_state[i]
-            if core in table_state_of:
-                assert table_state_of[core] == nxt, (core, action)
-            else:
-                table_state_of[core] = nxt
-                if not terminated:
-                    frontier.append((wrapper.snapshot(), nxt, next_key, depth + 1))
-
-    # Distinct cores map to distinct table states, and every table row
-    # that can be read belongs to a reachable state.
-    assert len(set(table_state_of.values())) == len(table_state_of)
-    n_states = len(table.next_state) // NUM_ACTIONS
-    live = {s for s in range(n_states) if table.next_state[s * NUM_ACTIONS] is not None}
-    assert compared == len(live) * NUM_ACTIONS
-    assert live <= set(table_state_of.values())
+def test_reachable_and_live_cursors(kind, gait, config_name):
+    reached, live = reachable_cursors(make(kind, gait, CONFIGS[config_name]))
     gait_kind = "no_gait" if kind is WrapperKind.NO_GAIT else "gait"
-    assert (n_states, len(live)) == CORE_STATES[config_name][gait_kind]
+    assert (len(reached), len(live)) == CURSORS[config_name][gait_kind]
+
+
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@pytest.mark.parametrize("kind", list(WrapperKind), ids=lambda k: k.value)
+def test_every_entry_holds_its_observations_key(kind, config_name):
+    """Every entry, reachable or not, keys its observation as the class
+    does; a stack3 entry holds the newest frame, keyed as (0, 0, frame)."""
+    stacked = kind is WrapperKind.STACK3
+    for gait in Gait:
+        wrapper = make(kind, gait, CONFIGS[config_name])
+        assert len(wrapper.table) == wrapper._levels * 16 * NUM_ACTIONS
+        for entry in wrapper.table:
+            _, obs, _, _, key = entry
+            assert key == wrapper.key((0, 0, obs) if stacked else obs), entry
+            assert key in range(wrapper.key_space), entry
+
+
+def without_obs_and_key(table) -> list[tuple]:
+    return [(cursor, reward, terminated) for cursor, _, reward, terminated, _ in table]
 
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 @pytest.mark.parametrize("gait", list(Gait), ids=lambda g: g.value)
 def test_naive_table_is_the_cross_product_table(gait, config_name):
-    cross = step_table(make(WrapperKind.CROSS_PRODUCT, gait, CONFIGS[config_name]))
-    naive = step_table(make(WrapperKind.NAIVE, gait, CONFIGS[config_name]))
-    assert naive.next_state == cross.next_state
-    assert naive.reward == cross.reward
-    assert naive.terminated == cross.terminated
+    cross = make(WrapperKind.CROSS_PRODUCT, gait, CONFIGS[config_name])
+    naive = make(WrapperKind.NAIVE, gait, CONFIGS[config_name])
+    assert without_obs_and_key(naive.table) == without_obs_and_key(cross.table)
     # Only the keys differ: naive's leave out the machine state.
-    assert naive.key == tuple(None if k is None else k % 16 for k in cross.key)
-    assert naive.initial_key == cross.initial_key
+    assert [e[4] for e in naive.table] == [e[4] % 16 for e in cross.table]
+    cross.reset()
+    naive.reset()
+    assert naive.cursor == cross.cursor
 
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 @pytest.mark.parametrize("gait", list(Gait), ids=lambda g: g.value)
 def test_augmented_table_is_naive_under_the_key_map(gait, config_name):
-    naive = step_table(make(WrapperKind.NAIVE, gait, CONFIGS[config_name]))
-    augmented = step_table(make(WrapperKind.AUGMENTED, gait, CONFIGS[config_name]))
+    naive = make(WrapperKind.NAIVE, gait, CONFIGS[config_name])
+    augmented = make(WrapperKind.AUGMENTED, gait, CONFIGS[config_name])
     # The label bits equal the contact pattern, so key k becomes k + 16k.
-    assert augmented == dataclasses.replace(
-        naive,
-        key=tuple(None if k is None else 17 * k for k in naive.key),
-        initial_key=17 * naive.initial_key,
-    )
+    assert without_obs_and_key(augmented.table) == without_obs_and_key(naive.table)
+    assert [e[4] for e in augmented.table] == [17 * e[4] for e in naive.table]
+    assert augmented.key(augmented.reset()) == 17 * naive.key(naive.reset())
 
 
 @pytest.mark.parametrize("gait", list(Gait), ids=lambda g: g.value)
@@ -188,18 +175,45 @@ def test_stack3_key_recurrence_equals_discretize_over_all_triples():
                     assert (key >> 4) + 256 * code == discretize((b, c, code), kind)
 
 
-def test_tables_are_cached_per_configuration():
+def test_tables_are_shared_by_what_their_entries_read():
+    """The table memo keys on the wrapper class, the machine, ``w_e`` and
+    the config fields a step reads, and on nothing else."""
     rm = build_gait_rm(Gait.PACE)
-    config = ToyEnvConfig(episode_length=13)
-    naive = make_wrapper("naive", ToyQuadrupedEnv(config), rm)
-    stack3 = make_wrapper("stack3", ToyQuadrupedEnv(config), rm)
-    other = make_wrapper("naive", ToyQuadrupedEnv(ToyEnvConfig(stumble_terminates=False)), rm)
-    assert step_table(naive) is step_table(naive.clone())
-    assert step_table(naive) is not step_table(stack3)
-    assert step_table(naive) is not step_table(other)
+
+    def wrapper(kind="naive", params=None, **fields):
+        return make_wrapper(kind, ToyQuadrupedEnv(ToyEnvConfig(**fields)), rm, params)
+
+    def table(*args, **kwargs):
+        return wrapper(*args, **kwargs).table
+
+    naive = table(episode_length=13)
+    assert naive is wrapper(episode_length=13).clone().table
+    assert naive is table()
+    assert naive is table(episode_length=50, rng_seed=7)
+    assert naive is table(params=RewardParams(gamma=0.5, bonus_b=1.0))
+    assert naive is not table("stack3", episode_length=13)
+    assert naive is not table(stumble_terminates=False)
+    assert naive is not table(clearance=0.04)
+    assert naive is not table(params=RewardParams(w_e=0.002))
+    assert naive is not make_wrapper("naive", rm=build_gait_rm(Gait.TROT)).table
 
 
-def test_step_tables_keep_number_types():
+def test_signed_zero_energy_weights_share_an_exact_table():
+    """``w_e`` of -0.0 and 0.0 are one memo key; the rewards either
+    compiles alone are bit for bit the same, so sharing is exact."""
+    rm = build_gait_rm(Gait.TROT)
+    alone = []
+    for w_e in (-0.0, 0.0):
+        _product_table.cache_clear()
+        alone.append(repr(make_wrapper("naive", rm=rm, params=RewardParams(w_e=w_e)).table))
+    assert alone[0] == alone[1]
+    assert (
+        make_wrapper("naive", rm=rm, params=RewardParams(w_e=-0.0)).table
+        is make_wrapper("naive", rm=rm, params=RewardParams(w_e=0.0)).table
+    )
+
+
+def test_tables_keep_number_types():
     """An int-valued config equals its float twin, but under an int
     energy weight its rewards are ints; each must get its own table."""
     rm, params = build_gait_rm(Gait.TROT), RewardParams(w_e=1)
@@ -209,7 +223,7 @@ def test_step_tables_keep_number_types():
     )
     assert twins[0] == twins[1]
     rewards = [
-        repr(step_table(make_wrapper("naive", ToyQuadrupedEnv(c), rm, params)).reward)
+        repr([e[2] for e in make_wrapper("naive", ToyQuadrupedEnv(c), rm, params).table])
         for c in twins
     ]
     assert "-1," in rewards[0] and "-1.0," in rewards[1]

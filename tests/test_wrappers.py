@@ -8,7 +8,6 @@ import pytest
 
 from gaitrm.env import StepInfo, ToyEnvConfig, ToyQuadrupedEnv
 from gaitrm.guards import LabelSet, Prop
-from gaitrm.learn import step_table
 from gaitrm.machine import (
     Gait,
     RewardMachine,
@@ -359,7 +358,7 @@ class TestWrapperShell:
         assert make_wrapper("no_gait").machine is None
         given = make_wrapper("no_gait", rm=build_gait_rm(Gait.TROT))
         assert given.machine is None
-        assert step_table(given) is step_table(make_wrapper("no_gait"))
+        assert given.table is make_wrapper("no_gait").table
 
     def test_snapshot_restore_round_trip(self):
         rm = build_gait_rm(Gait.TROT)
