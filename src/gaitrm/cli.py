@@ -562,7 +562,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file with env/learner/reward sections")
         p.add_argument("--episode-length", type=int, default=None)
         if with_learner:
-            p.add_argument("--total-steps", type=int, default=None)
+            p.add_argument(
+                "--total-steps",
+                type=int,
+                default=None,
+                help=f"learner steps per seed, 0 <= N <= {sys.maxsize}",
+            )
             p.add_argument("--eval-every", type=int, default=None)
 
     p = sub.add_parser("train", help="run a seeded training campaign")

@@ -19,8 +19,9 @@ Dynamics per step:
 Apart from the base position and the step count, a step's outcome
 depends only on the settled pattern, the action and whether the step
 truncates. These time-free outcomes are built once per physical config
-(lift height, stride gain, power cost, stumble rule), and ``step``
-indexes them.
+(lift height, stride gain, power cost, stumble rule) and bound to each
+config object at its first step (``ToyEnvConfig.outcomes``), so ``step``
+reads them with one attribute lookup and one index.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def check_field_types(config) -> None:
             raise ValueError(f"{field.name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ToyEnvConfig:
     clearance: float = 0.05
     lift_height: float = 0.10
@@ -94,6 +95,24 @@ class ToyEnvConfig:
             raise InvalidConfigError(
                 f"episode_length must be positive, got {self.episode_length}"
             )
+
+    @functools.cached_property
+    def outcomes(self) -> tuple[tuple[StepInfo, LabelSet, bool], ...]:
+        """This config's entry of the ``_outcomes`` memo, looked up at
+        the first read and kept on the instance. It is not a field:
+        equality, hashing, ``repr``, ``asdict``, ``replace``, copies and
+        pickles see only the fields."""
+        return _outcomes(
+            self.lift_height,
+            self.stride_gain,
+            self.lift_power_cost,
+            self.stumble_terminates,
+        )
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles carry the fields; the copy looks its
+        # outcomes up again in its own process's memo.
+        return {k: v for k, v in vars(self).items() if k != "outcomes"}
 
 
 class StepInfo(NamedTuple):
@@ -192,12 +211,9 @@ def step(
         raise ValueError(f"action code must be in [0, 16), got {action}")
     step_count = state.step_count + 1
     truncated = step_count >= config.episode_length
-    info, airborne, stumbled = _outcomes(
-        config.lift_height,
-        config.stride_gain,
-        config.lift_power_cost,
-        config.stumble_terminates,
-    )[state.airborne.code << 5 | action << 1 | truncated]
+    info, airborne, stumbled = config.outcomes[
+        state.airborne.code << 5 | action << 1 | truncated
+    ]
     base_x = state.base_x + info.delta_x
     next_state = _new_tuple(
         ToyEnvState, (airborne, info.foot_heights, base_x, stumbled, step_count)
@@ -229,7 +245,9 @@ def observe(state: ToyEnvState) -> int:
 
 
 class ToyQuadrupedEnv:
-    """Stateful shell over the functional dynamics.
+    """Stateful shell over the functional dynamics: ``state`` is a plain
+    attribute holding the current ``ToyEnvState``, which ``step`` and
+    ``reset`` replace and a caller may assign (as ``set_state`` does).
 
     Single-threaded; run one instance per training run. Distinct
     instances are independent.
@@ -237,19 +255,15 @@ class ToyQuadrupedEnv:
 
     def __init__(self, config: ToyEnvConfig | None = None):
         self.config = config if config is not None else ToyEnvConfig()
-        self._state = reset(self.config)
-
-    @property
-    def state(self) -> ToyEnvState:
-        return self._state
+        self.state = reset(self.config)
 
     def reset(self) -> int:
-        self._state = reset(self.config)
-        return observe(self._state)
+        self.state = reset(self.config)
+        return observe(self.state)
 
     def step(self, action: int) -> tuple[int, StepInfo]:
-        self._state, info = step(self._state, action, self.config)
-        return observe(self._state), info
+        self.state, info = step(self.state, action, self.config)
+        return observe(self.state), info
 
     def set_state(self, state: ToyEnvState) -> None:
-        self._state = state
+        self.state = state

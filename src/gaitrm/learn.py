@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple, Union
@@ -56,6 +57,12 @@ class LearnerConfig:
             )
         if self.total_steps < 0:
             raise ValueError(f"total_steps must be >= 0, got {self.total_steps}")
+        # ``train`` hands ``itertools.islice`` chunks of at most
+        # ``total_steps`` steps, and ``islice`` refuses a count above this.
+        if self.total_steps > sys.maxsize:
+            raise ValueError(
+                f"total_steps must be at most {sys.maxsize}, got {self.total_steps}"
+            )
         if self.eval_every <= 0:
             raise ValueError(f"eval_every must be positive, got {self.eval_every}")
         if self.eval_episodes <= 0:

@@ -10,9 +10,14 @@ agent gets to observe.
 
 Each wrapper is a cursor over a product table compiled from the sources
 at its first reset or step (see ``_product_table``). A step makes one
-``env.step`` call, for the ``StepInfo``, truncation, position, step
-count and episode errors, and reads the rest from one table entry.
-``learn.train`` indexes the same table directly, from the reset cursor.
+call of the functional ``env.step`` on the environment's ``state``, for
+the ``StepInfo``, truncation, position, step count and episode errors,
+and reads the rest from one table entry. ``env.step`` is looked up on
+the module at every call, never bound here by name, so whatever
+``gaitrm.env.step`` is at call time runs: the benchmark's tracer
+(``perfbench/tracing.py``) replaces that module attribute and counts
+one call per wrapper step. ``learn.train`` indexes the same table
+directly, from the reset cursor.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import functools
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
+from . import env as _env
 from .env import StepInfo, ToyEnvConfig, ToyQuadrupedEnv, _outcomes, label
 from .guards import LabelSet, truth_table
 from .machine import (
@@ -83,9 +89,17 @@ class GaitShape:
 def gait_shape(rm: RewardMachine) -> GaitShape:
     """Extract the gait structure, or raise GaitShapeError if the
     machine does not have exactly two states with one transition each
-    way plus one self-loop each."""
+    way plus one self-loop each, or has an accepting state.
+
+    The latch oracle has no terminate rule: a machine whose accepting
+    set is non-empty ends cross-product episodes that the latch
+    wrappers would continue, with equal rewards, so the two would no
+    longer be equivalent."""
     if len(rm.states) != 2:
         raise GaitShapeError(f"expected 2 states, found {len(rm.states)}")
+    if rm.accepting:
+        names = sorted(s.name for s in rm.accepting)
+        raise GaitShapeError(f"expected no accepting states, found {names}")
     q0 = rm.initial
     (q1,) = tuple(s for s in rm.states if s != q0)
     forward = [t for t in rm.transitions_from(q0) if t.dst == q1]
@@ -151,7 +165,6 @@ def _product_table(
     cls: type[GaitEnvWrapper],
     rm: RewardMachine | None,
     w_e: float,
-    clearance: float,
     lift_height: float,
     stride_gain: float,
     lift_power_cost: float,
@@ -160,9 +173,15 @@ def _product_table(
     """Every step from every cursor, reachable or not: entry ``cursor
     << 4 | action`` holds the next cursor, observation, reward,
     ``terminated`` and the observation's Q-table key, read from
-    ``env._outcomes`` (untruncated; no reward reads truncation),
-    ``label`` and ``cls._compile_step``. A stack3 entry holds the newest
-    frame and that frame's share of the key, ``256 * code``.
+    ``env._outcomes`` (untruncated; no reward reads truncation) and
+    ``cls._compile_step``. A stack3 entry holds the newest frame and that
+    frame's share of the key, ``256 * code``.
+
+    A step's labels are its outcome's next airborne set. A valid config
+    has ``0 < clearance <= lift_height``, and a commanded foot reaches
+    ``lift_height`` in one step, so ``label(info, clearance)`` is that
+    set for every outcome (``tests/test_env.py`` proves it), and no
+    entry reads ``clearance``.
 
     The memo is keyed on exactly what the entries read, and typed, so
     an int-valued argument never shares its equal float twin's table
@@ -177,7 +196,7 @@ def _product_table(
             for action in range(16):
                 info, airborne, _ = outcomes[settled << 5 | action << 1]
                 next_level, obs, reward, terminated = wrapper._compile_step(
-                    level, airborne.code, label(info, clearance), info
+                    level, airborne.code, airborne, info
                 )
                 key = cls.key((0, 0, obs) if stacked else obs)
                 entry = (next_level << 4 | airborne.code, obs, reward, terminated, key)
@@ -227,7 +246,7 @@ class GaitEnvWrapper:
         """The product table, compiled at the first reset or step."""
         c = self.env.config
         return _product_table(
-            type(self), self.machine, self.params.w_e, c.clearance,
+            type(self), self.machine, self.params.w_e,
             c.lift_height, c.stride_gain, c.lift_power_cost, c.stumble_terminates,
         )
 
@@ -250,7 +269,8 @@ class GaitEnvWrapper:
         return self._reset_observation(base)
 
     def step(self, action: int) -> tuple[Any, float, bool, bool, StepInfo]:
-        _, info = self.env.step(action)
+        env = self.env
+        env.state, info = _env.step(env.state, action, env.config)
         self.cursor, obs, reward, terminated, _ = self.table[self.cursor << 4 | action]
         return obs, reward, terminated, info.truncated, info
 
@@ -259,7 +279,7 @@ class GaitEnvWrapper:
 
     def restore(self, snap: tuple) -> None:
         (state,) = snap
-        self.env.set_state(state)
+        self.env.state = state
         self.cursor = state.airborne.code
 
     def clone(self) -> "GaitEnvWrapper":
@@ -305,7 +325,7 @@ class CrossProductWrapper(GaitEnvWrapper):
 
     def restore(self, snap: tuple) -> None:
         state, u = snap
-        self.env.set_state(state)
+        self.env.state = state
         self.cursor = u.index << 4 | state.airborne.code
 
 
@@ -352,7 +372,7 @@ class _LatchRewardWrapper(GaitEnvWrapper):
 
     def restore(self, snap: tuple) -> None:
         state, latch = snap
-        self.env.set_state(state)
+        self.env.state = state
         self.cursor = _LATCHES.index(latch) << 4 | state.airborne.code
 
 

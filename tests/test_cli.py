@@ -2,6 +2,7 @@
 contracts and determinism."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -229,6 +230,25 @@ class TestTrain:
         assert stdout == ""
         assert "stride_gain must not be -0.0" in err
         assert not out.exists()
+
+    def test_total_steps_past_its_bound_is_refused_before_any_output(
+        self, capsys, tmp_path
+    ):
+        out = tmp_path / "x"
+        code, stdout, err = run(
+            capsys, "train", "--gait", "trot", "--seeds", "1", "--out", str(out),
+            "--total-steps", str(2**64), "--eval-every", str(2**65),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert f"total_steps must be at most {sys.maxsize}, got {2**64}" in err
+        assert not out.exists()
+
+    def test_help_states_the_total_steps_bound(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--help"])
+        assert exc.value.code == 0
+        assert f"0 <= N <= {sys.maxsize}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("section, field", [("env", "clearance"), ("reward", "bonus_b")])
     def test_number_too_large_for_a_float_is_semantic_error(

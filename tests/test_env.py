@@ -1,9 +1,14 @@
 """Tests for the toy quadruped environment dynamics and labeling."""
 
+import copy
 import dataclasses
+import math
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaitrm.env as env_module
 from gaitrm.env import (
@@ -338,10 +343,8 @@ def test_dynamics_over_every_pattern_and_action(config_name):
             assert env.step(action) == (action, info)
 
 
-INT_VALUED = DYNAMICS_CONFIGS["int_valued"]
-FLOAT_TWIN = ToyEnvConfig(
-    lift_height=1.0, clearance=1.0, stride_gain=1.0, lift_power_cost=2.0
-)
+INT_FIELDS = dict(lift_height=1, clearance=1, stride_gain=1, lift_power_cost=2)
+FLOAT_FIELDS = dict(lift_height=1.0, clearance=1.0, stride_gain=1.0, lift_power_cost=2.0)
 
 
 def _episode_reprs(config):
@@ -355,23 +358,100 @@ def _episode_reprs(config):
     return reprs
 
 
-@pytest.mark.parametrize("first", [INT_VALUED, FLOAT_TWIN], ids=["int", "float"])
+@pytest.mark.parametrize("first", [INT_FIELDS, FLOAT_FIELDS], ids=["int", "float"])
 def test_equal_configs_of_other_number_types_keep_their_own_outcomes(first):
     """An int-valued config and its float twin compare equal, so a memo
     that ignored argument types would hand the second config the
-    first's numbers. Step both in one process, in both orders."""
-    second = FLOAT_TWIN if first is INT_VALUED else INT_VALUED
-    assert first == second
+    first's numbers. Step both in one process, in both orders. Every
+    phase builds fresh config objects: an outcome table already bound
+    to an instance would hide a memo that mixed the two up."""
+    second = FLOAT_FIELDS if first is INT_FIELDS else INT_FIELDS
+    assert ToyEnvConfig(**first) == ToyEnvConfig(**second)
     env_module._outcomes.cache_clear()
-    together = [_episode_reprs(first), _episode_reprs(second)]
+    together = [_episode_reprs(ToyEnvConfig(**fields)) for fields in (first, second)]
     alone = []
-    for config in (first, second):
+    for fields in (first, second):
         env_module._outcomes.cache_clear()
-        alone.append(_episode_reprs(config))
+        alone.append(_episode_reprs(ToyEnvConfig(**fields)))
     assert together == alone
-    for config, reprs in zip((first, second), alone):
-        lifted = "1" if config is INT_VALUED else "1.0"
+    for fields, reprs in zip((first, second), alone):
+        lifted = "1" if fields is INT_FIELDS else "1.0"
         assert f"foot_heights=({lifted}, 0.0, 0.0, {lifted})" in reprs[2]
+
+
+def test_outcomes_are_the_typed_memo_entry_and_not_part_of_the_config():
+    """``outcomes`` is the ``_outcomes`` entry for the config's own
+    physical values and types, and it is invisible to equality,
+    hashing, ``repr``, ``asdict``, ``replace``, copies and pickles."""
+    int_config, float_config = ToyEnvConfig(**INT_FIELDS), ToyEnvConfig(**FLOAT_FIELDS)
+    never_read = ToyEnvConfig(**FLOAT_FIELDS)
+    seen = (repr(float_config), hash(float_config), dataclasses.asdict(float_config))
+    pickled = pickle.dumps(float_config)
+
+    table = float_config.outcomes
+    assert table is env_module._outcomes(1.0, 1.0, 2.0, True)
+    assert int_config.outcomes is env_module._outcomes(1, 1, 2, True)
+    assert int_config.outcomes is not table
+    assert float_config.outcomes is table and "outcomes" in vars(float_config)
+
+    assert (repr(float_config), hash(float_config), dataclasses.asdict(float_config)) == seen
+    assert "outcomes" not in repr(float_config)
+    assert float_config == never_read == int_config
+    assert hash(float_config) == hash(never_read)
+    assert pickle.dumps(float_config) == pickled == pickle.dumps(never_read)
+    for twin in (
+        dataclasses.replace(float_config),
+        copy.copy(float_config),
+        copy.deepcopy(float_config),
+        pickle.loads(pickle.dumps(float_config)),
+    ):
+        assert twin == float_config
+        assert "outcomes" not in vars(twin)
+        assert twin.outcomes is table
+
+
+def _outcome_labels_are_airborne(outcomes, clearance) -> bool:
+    return all(label(info, clearance) is airborne for info, airborne, _ in outcomes)
+
+
+@pytest.mark.parametrize("config_name", sorted(DYNAMICS_CONFIGS))
+def test_every_outcome_is_labelled_with_its_airborne_set(config_name):
+    """The product table takes a step's labels to be its outcome's next
+    airborne set, and so does not read ``clearance``. Every outcome
+    agrees at the edges of what a config allows: clearance at the lift
+    height, at half of it, and at the smallest positive float."""
+    config = DYNAMICS_CONFIGS[config_name]
+    outcomes = env_module._outcomes(
+        config.lift_height,
+        config.stride_gain,
+        config.lift_power_cost,
+        config.stumble_terminates,
+    )
+    for clearance in (config.lift_height, config.lift_height / 2, math.ulp(0.0)):
+        assert _outcome_labels_are_airborne(outcomes, clearance), clearance
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw):
+    lift_height = draw(
+        st.integers(1, 10**6) | st.floats(min_value=math.ulp(0.0), max_value=1e300)
+    )
+    return ToyEnvConfig(
+        clearance=draw(st.floats(min_value=math.ulp(0.0), max_value=lift_height)),
+        lift_height=lift_height,
+        stride_gain=draw(st.integers(0, 10) | st.floats(min_value=0.0, **_FINITE)),
+        lift_power_cost=draw(st.floats(min_value=0.0, **_FINITE)),
+        stumble_terminates=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=valid_configs())
+def test_every_valid_config_labels_outcomes_with_their_airborne_set(config):
+    assert _outcome_labels_are_airborne(config.outcomes, config.clearance)
 
 
 class TestStatefulShell:

@@ -427,9 +427,9 @@ class TestTrain:
 
     def test_budget_past_a_list_of_points_trains_to_its_first(self, monkeypatch):
         """A budget with more evaluation points than a list can hold
-        (MemoryError at 2**63 points, OverflowError past it) trains to
-        its first point as a one-point budget does; epsilon is flat, so
-        the total does not change the schedule."""
+        (about 9.2e17 at the largest total ``LearnerConfig`` accepts)
+        trains to its first point as a one-point budget does; epsilon is
+        flat, so the total does not change the schedule."""
         rm = build_gait_rm(Gait.TROT)
         flat = dict(eval_every=10, epsilon_start=0.3, epsilon_end=0.3, seed=3)
         q_small, _ = train(NaiveWrapper(rm=rm), LearnerConfig(total_steps=10, **flat))
@@ -441,11 +441,21 @@ class TestTrain:
             raise FirstPoint(q)
 
         monkeypatch.setattr(learn, "evaluate", stop)
-        for points in (2**63, 2**64):
-            config = LearnerConfig(total_steps=points * 10, **flat)
+        for total in (sys.maxsize - 1, sys.maxsize):
+            config = LearnerConfig(total_steps=total, **flat)
             with pytest.raises(FirstPoint) as stopped:
                 train(NaiveWrapper(rm=rm), config)
             assert stopped.value.args[0] == q_small
+
+    def test_total_steps_is_bounded_by_what_islice_takes(self):
+        """``train`` hands ``islice`` chunks of at most ``total_steps``
+        steps, so the bound is ``sys.maxsize``; ``eval_every`` stays
+        unbounded."""
+        assert LearnerConfig(total_steps=sys.maxsize).total_steps == sys.maxsize
+        assert LearnerConfig(total_steps=0, eval_every=2**65).eval_every == 2**65
+        for total in (sys.maxsize + 1, 2**64):
+            with pytest.raises(ValueError, match=f"at most {sys.maxsize}"):
+                LearnerConfig(total_steps=total)
 
     def test_reproducibility_bit_identical(self):
         rm = build_gait_rm(Gait.TROT)

@@ -153,6 +153,31 @@ class TestOracle:
             gait_shape(rm)
 
     @pytest.mark.parametrize("gait", list(Gait))
+    def test_latch_wrappers_refuse_an_accepting_machine(self, gait):
+        """With q1 accepting, a pose-A step ends the cross-product
+        episode, while the latch oracle, which has no terminate rule,
+        would pay the same reward and carry on. So every latch wrapper
+        refuses a machine with an accepting state, and cross_product
+        still runs it."""
+        latch_kinds = set(WrapperKind) - {WrapperKind.CROSS_PRODUCT, WrapperKind.NO_GAIT}
+        assert latch_kinds == {WrapperKind.NAIVE, WrapperKind.STACK3, WrapperKind.AUGMENTED}
+        base = build_gait_rm(gait)
+        q0, q1 = base.states
+        for accepting in ({q1}, {q0}, {q0, q1}):
+            rm = RewardMachine(base.states, q0, frozenset(accepting), base.transitions)
+            with pytest.raises(GaitShapeError, match="accepting"):
+                gait_shape(rm)
+            for kind in latch_kinds:
+                with pytest.raises(GaitShapeError, match="accepting"):
+                    make_wrapper(kind, rm=rm)
+            make_wrapper(WrapperKind.CROSS_PRODUCT, rm=rm).reset()
+        rm = RewardMachine(base.states, q0, frozenset({q1}), base.transitions)
+        cross = make_wrapper(WrapperKind.CROSS_PRODUCT, rm=rm)
+        cross.reset()
+        _, _, terminated, _, info = cross.step(gait.pose_a.code)
+        assert terminated is True and info.terminated is False
+
+    @pytest.mark.parametrize("gait", list(Gait))
     def test_gait_shape_masks(self, gait):
         shape = gait_shape(build_gait_rm(gait))
         a_codes = [c for c in range(16) if shape.mask_a >> c & 1]
