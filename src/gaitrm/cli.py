@@ -22,8 +22,9 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .env import ToyEnvConfig, ToyQuadrupedEnv
+from .env import MAX_EPISODE_LENGTH, ToyEnvConfig, ToyQuadrupedEnv
 from .learn import (
+    MAX_EVAL_EPISODES,
     EvalMetrics,
     LearnerConfig,
     QTable,
@@ -377,8 +378,10 @@ TRAJECTORY_HEADER = [
 def cmd_diagram(args: argparse.Namespace) -> int:
     kind = WrapperKind(args.wrapper)
     env_config, _, params = _load_run_configs(args)
-    if args.steps <= 0:
-        raise CliSemanticError(f"--steps must be positive, got {args.steps}")
+    if not 0 < args.steps <= MAX_EPISODE_LENGTH:
+        raise CliSemanticError(
+            f"--steps must be in [1, {MAX_EPISODE_LENGTH}], got {args.steps}"
+        )
     # The diagram horizon overrides the episode length so any requested
     # window can be drawn.
     env_config = dataclasses.replace(env_config, episode_length=args.steps)
@@ -560,7 +563,9 @@ def build_parser() -> argparse.ArgumentParser:
             default=WrapperKind.NAIVE.value,
         )
         p.add_argument("--config", help="JSON file with env/learner/reward sections")
-        p.add_argument("--episode-length", type=int, default=None)
+        p.add_argument(
+            "--episode-length", type=int, help=f"1 <= N <= {MAX_EPISODE_LENGTH}"
+        )
         if with_learner:
             p.add_argument(
                 "--total-steps",
@@ -583,12 +588,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a policy for 10 greedy episodes")
     add_run_flags(p, with_learner=False)
     p.add_argument("--policy", required=True, help="policy CSV or reference:<gait>")
-    p.add_argument("--episodes", type=int, default=10)
+    p.add_argument(
+        "--episodes", type=int, default=10, help=f"1 <= N <= {MAX_EVAL_EPISODES}"
+    )
 
     p = sub.add_parser("diagram", help="write a foot-contact diagram for a policy")
     add_run_flags(p, with_learner=False)
     p.add_argument("--policy", required=True, help="policy CSV or reference:<gait>")
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument(
+        "--steps", type=int, default=100, help=f"1 <= N <= {MAX_EPISODE_LENGTH}"
+    )
     p.add_argument("--out", required=True, help="diagram CSV path")
     p.add_argument("--trajectory", default=None, help="also write a full step log here")
 

@@ -43,6 +43,9 @@ class EpisodeFinishedError(RuntimeError):
     """step() was called on a terminated or truncated episode."""
 
 
+# The longest episode a config allows; a reference policy runs it in seconds.
+MAX_EPISODE_LENGTH = 100_000
+
 _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
 
 
@@ -91,9 +94,10 @@ class ToyEnvConfig:
             raise InvalidConfigError(
                 f"lift_power_cost must be >= 0, got {self.lift_power_cost}"
             )
-        if self.episode_length <= 0:
+        if not 0 < self.episode_length <= MAX_EPISODE_LENGTH:
             raise InvalidConfigError(
-                f"episode_length must be positive, got {self.episode_length}"
+                f"episode_length must be in [1, {MAX_EPISODE_LENGTH}], "
+                f"got {self.episode_length}"
             )
 
     @functools.cached_property

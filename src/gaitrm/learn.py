@@ -25,6 +25,8 @@ from .machine import Gait, RewardMachine, transition_table
 from .wrappers import WRAPPER_CLASSES, GaitEnvWrapper, WrapperKind, base_pattern
 
 NUM_ACTIONS = 16
+# The most episodes one evaluation runs; a reference policy runs them in seconds.
+MAX_EVAL_EPISODES = 10_000
 
 QTable = dict[int, list[float]]
 
@@ -65,8 +67,11 @@ class LearnerConfig:
             )
         if self.eval_every <= 0:
             raise ValueError(f"eval_every must be positive, got {self.eval_every}")
-        if self.eval_episodes <= 0:
-            raise ValueError(f"eval_episodes must be positive, got {self.eval_episodes}")
+        if not 0 < self.eval_episodes <= MAX_EVAL_EPISODES:
+            raise ValueError(
+                f"eval_episodes must be in [1, {MAX_EVAL_EPISODES}], "
+                f"got {self.eval_episodes}"
+            )
 
 
 def epsilon_schedule(config: LearnerConfig) -> Iterator[float]:
@@ -314,8 +319,8 @@ def evaluate(
     ``rollout`` per episode, summed in episode order. A Q-table's
     episodes after the first reuse the first's rollout (see
     ``rollout``), unless the table changes under them."""
-    if episodes <= 0:
-        raise ValueError(f"episodes must be positive, got {episodes}")
+    if not 0 < episodes <= MAX_EVAL_EPISODES:
+        raise ValueError(f"episodes must be in [1, {MAX_EVAL_EPISODES}], got {episodes}")
     returns = 0.0
     transitions = 0
     distance = 0.0

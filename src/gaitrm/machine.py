@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import IO, Union
 
@@ -377,11 +377,7 @@ def machine_to_document(
             }
             for t in rm.transitions
         ],
-        "params": {
-            "w_e": params.w_e,
-            "gamma": params.gamma,
-            "bonus_b": params.bonus_b,
-        },
+        "params": asdict(params),
     }
 
 
@@ -449,13 +445,12 @@ def machine_from_document(doc: dict) -> tuple[RewardMachine, RewardParams]:
     params_doc = doc["params"]
     if not isinstance(params_doc, dict):
         raise RmFormatError("params: must be an object")
-    _reject_unknown(params_doc, {"w_e", "gamma", "bonus_b"}, "params")
-    defaults = RewardParams()
-    values = {}
-    for key in ("w_e", "gamma", "bonus_b"):
-        values[key] = _number(
-            params_doc.get(key, getattr(defaults, key)), f"params: {key}"
-        )
+    defaults = {f.name: f.default for f in fields(RewardParams)}
+    _reject_unknown(params_doc, set(defaults), "params")
+    values = {
+        key: _number(params_doc.get(key, default), f"params: {key}")
+        for key, default in defaults.items()
+    }
     try:
         params = RewardParams(**values)
     except ValueError as exc:

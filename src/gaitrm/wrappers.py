@@ -9,11 +9,13 @@ the cross-product stream step for step, they only differ in what the
 agent gets to observe.
 
 Each wrapper is a cursor over a product table compiled from the sources
-at its first reset or step (see ``_product_table``). A step makes one
-call of the functional ``env.step`` on the environment's ``state``, for
-the ``StepInfo``, truncation, position, step count and episode errors,
-and reads the rest from one table entry. ``env.step`` is looked up on
-the module at every call, never bound here by name, so whatever
+at its first reset or step (see ``_product_table``). Each kind's
+observation is a function of the cursor, written once in ``_observe``,
+which the table and ``reset`` both call. A step makes one call of the
+functional ``env.step`` on the environment's ``state``, for the
+``StepInfo``, truncation, position, step count and episode errors, and
+reads the rest from one table entry. ``env.step`` is looked up on the
+module at every call, never bound here by name, so whatever
 ``gaitrm.env.step`` is at call time runs: the benchmark's tracer
 (``perfbench/tracing.py``) replaces that module attribute and counts
 one call per wrapper step. ``learn.train`` indexes the same table
@@ -28,8 +30,9 @@ from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from . import env as _env
+# Nothing here calls ``label``; perfbench's tracer patches ``wrappers.label``.
 from .env import StepInfo, ToyEnvConfig, ToyQuadrupedEnv, _outcomes, label
-from .guards import LabelSet, truth_table
+from .guards import ALL_LABEL_SETS, LabelSet, truth_table
 from .machine import (
     RewardMachine,
     RewardParams,
@@ -165,41 +168,43 @@ def _product_table(
     cls: type[GaitEnvWrapper],
     rm: RewardMachine | None,
     w_e: float,
-    lift_height: float,
     stride_gain: float,
     lift_power_cost: float,
     stumble_terminates: bool,
 ) -> tuple[tuple[int, Any, float, bool, int], ...]:
     """Every step from every cursor, reachable or not: entry ``cursor
-    << 4 | action`` holds the next cursor, observation, reward,
-    ``terminated`` and the observation's Q-table key, read from
-    ``env._outcomes`` (untruncated; no reward reads truncation) and
-    ``cls._compile_step``. A stack3 entry holds the newest frame and that
-    frame's share of the key, ``256 * code``.
+    << 4 | action`` holds the next cursor, its observation
+    (``cls._observe``), the reward and ``terminated`` (``cls._compile_step``
+    on the untruncated ``env._outcomes`` entry; no reward reads
+    truncation) and the observation's Q-table key. A stack3 entry holds
+    the newest frame and that frame's share of the key, ``256 * code``.
 
     A step's labels are its outcome's next airborne set. A valid config
     has ``0 < clearance <= lift_height``, and a commanded foot reaches
     ``lift_height`` in one step, so ``label(info, clearance)`` is that
-    set for every outcome (``tests/test_env.py`` proves it), and no
-    entry reads ``clearance``.
+    set for every outcome (``tests/test_env.py`` proves it).
 
-    The memo is keyed on exactly what the entries read, and typed, so
-    an int-valued argument never shares its equal float twin's table
-    (its rewards may be ints). Entries of equal ``repr`` are one object;
-    equal value is not enough, as ``1 == 1.0``."""
+    The memo is keyed on exactly what the entries read, so neither on
+    ``clearance`` nor on ``lift_height``, and typed, so an int-valued
+    argument never shares its equal float twin's table (its rewards may
+    be ints). Entries of equal ``repr`` are one object; equal value is
+    not enough, as ``1 == 1.0``."""
     wrapper = cls(None, rm, RewardParams(w_e=w_e))
-    outcomes = _outcomes(lift_height, stride_gain, lift_power_cost, stumble_terminates)
+    # ``lift_height`` sets only foot heights, and no entry reads a foot height.
+    outcomes = _outcomes(
+        ToyEnvConfig.lift_height, stride_gain, lift_power_cost, stumble_terminates
+    )
     stacked = cls.kind is WrapperKind.STACK3
     entries, shared = [], {}
     for level in range(wrapper._levels):
         for settled in range(16):
             for action in range(16):
                 info, airborne, _ = outcomes[settled << 5 | action << 1]
-                next_level, obs, reward, terminated = wrapper._compile_step(
-                    level, airborne.code, airborne, info
-                )
+                next_level, reward, terminated = wrapper._compile_step(level, airborne, info)
+                cursor = next_level << 4 | airborne.code
+                obs = wrapper._observe(cursor)
                 key = cls.key((0, 0, obs) if stacked else obs)
-                entry = (next_level << 4 | airborne.code, obs, reward, terminated, key)
+                entry = (cursor, obs, reward, terminated, key)
                 entries.append(shared.setdefault(repr(entry), entry))
     return tuple(entries)
 
@@ -208,10 +213,11 @@ class GaitEnvWrapper:
     """Shared wrapper shell: owns the environment instance, the machine,
     the reward params and the cursor into the product table, which is
     the level (machine state, latch, or 0) times 16 plus the settled
-    contact pattern. One instance per run. Each kind owns its reward
-    state, which ``_compile_step`` hands the table, and its observation
-    encoding: ``key`` maps an observation injectively into
-    ``range(key_space)``, the Q-table keys."""
+    contact pattern. One instance per run. Each kind fills the hooks
+    ``_initial_level``, ``_compile_step`` (a step's next level, reward
+    and ``terminated``) and ``_observe`` (the observation at a cursor,
+    for the table and ``reset``); ``key`` maps an observation
+    injectively into ``range(key_space)``, the Q-table keys."""
 
     kind: WrapperKind
     key_space = 16
@@ -247,26 +253,26 @@ class GaitEnvWrapper:
         c = self.env.config
         return _product_table(
             type(self), self.machine, self.params.w_e,
-            c.lift_height, c.stride_gain, c.lift_power_cost, c.stumble_terminates,
+            c.stride_gain, c.lift_power_cost, c.stumble_terminates,
         )
 
     def _initial_level(self) -> int:
         return 0
 
     def _compile_step(
-        self, level: int, base: int, labels: LabelSet, info: StepInfo
-    ) -> tuple[int, Any, float, bool]:
-        """Next level, observation, reward and ``terminated`` of a step."""
+        self, level: int, labels: LabelSet, info: StepInfo
+    ) -> tuple[int, float, bool]:
+        """Next level, reward and ``terminated`` of a step."""
         raise NotImplementedError
 
-    def _reset_observation(self, base: int) -> Any:
-        return base
+    def _observe(self, cursor: int) -> Any:
+        """The observation at a cursor: its settled contact code."""
+        return cursor & 15
 
     def reset(self) -> Any:
         self.table  # compiled here or at the first step, never at construction
-        base = self.env.reset()
-        self.cursor = self._initial_level() << 4 | base
-        return self._reset_observation(base)
+        self.cursor = self._initial_level() << 4 | self.env.reset()
+        return self._observe(self.cursor)
 
     def step(self, action: int) -> tuple[Any, float, bool, bool, StepInfo]:
         env = self.env
@@ -298,7 +304,6 @@ class CrossProductWrapper(GaitEnvWrapper):
         rm = self.machine
         self.key_space = 16 * len(rm.states)
         self._levels = len(rm.states)
-        self._transitions = transition_table(rm)
 
     @staticmethod
     def key(observation: CrossProductObservation) -> int:
@@ -311,14 +316,13 @@ class CrossProductWrapper(GaitEnvWrapper):
     def _initial_level(self) -> int:
         return self.machine.initial.index
 
-    def _reset_observation(self, base: int) -> CrossProductObservation:
-        return CrossProductObservation(base, self.machine.initial)
+    def _observe(self, cursor: int) -> CrossProductObservation:
+        return CrossProductObservation(cursor & 15, self.machine.states[cursor >> 4])
 
-    def _compile_step(self, level: int, base: int, labels: LabelSet, info: StepInfo):
-        dst, spec = self._transitions[(level, labels.code)]
+    def _compile_step(self, level: int, labels: LabelSet, info: StepInfo):
+        dst, spec = transition_table(self.machine)[(level, labels.code)]
         terminated = info.terminated or dst in self.machine.accepting
-        reward = compute_reward(spec, info, self.params)
-        return dst.index, CrossProductObservation(base, dst), reward, terminated
+        return dst.index, compute_reward(spec, info, self.params), terminated
 
     def snapshot(self) -> tuple:
         return (self.env.state, self.rm_state)
@@ -337,8 +341,8 @@ class NoGaitWrapper(GaitEnvWrapper):
     # The walk reward reads no machine, so none is required or kept.
     _uses_machine = False
 
-    def _compile_step(self, level: int, base: int, labels: LabelSet, info: StepInfo):
-        return 0, base, compute_reward(Walk(), info, self.params), info.terminated
+    def _compile_step(self, level: int, labels: LabelSet, info: StepInfo):
+        return 0, compute_reward(Walk(), info, self.params), info.terminated
 
 
 class _LatchRewardWrapper(GaitEnvWrapper):
@@ -357,15 +361,11 @@ class _LatchRewardWrapper(GaitEnvWrapper):
     def latch(self) -> MilestoneLatch:
         return _LATCHES[self.cursor >> 4]
 
-    def _step_observation(self, base: int, labels: LabelSet) -> Any:
-        return base
-
-    def _compile_step(self, level: int, base: int, labels: LabelSet, info: StepInfo):
+    def _compile_step(self, level: int, labels: LabelSet, info: StepInfo):
         reward, latch = _latch_step(
             self._shape, _LATCHES[level], labels.code, info, self.params
         )
-        obs = self._step_observation(base, labels)
-        return _LATCHES.index(latch), obs, reward, info.terminated
+        return _LATCHES.index(latch), reward, info.terminated
 
     def snapshot(self) -> tuple:
         return (self.env.state, self.latch)
@@ -399,7 +399,8 @@ class Stack3Wrapper(_LatchRewardWrapper):
         super().__init__(*args, **kwargs)
         self._stack = (0, 0, 0)
 
-    def _reset_observation(self, base: int) -> tuple[int, int, int]:
+    def reset(self) -> tuple[int, int, int]:
+        base = super().reset()
         self._stack = (base, base, base)
         return self._stack
 
@@ -432,14 +433,9 @@ class AugmentedWrapper(_LatchRewardWrapper):
         base, fl, fr, bl, br = observation
         return base + 16 * (fl | fr << 1 | bl << 2 | br << 3)
 
-    def _reset_observation(self, base: int) -> tuple[int, int, int, int, int]:
-        labels = label(self.env.state, self.config.clearance)
-        return self._step_observation(base, labels)
-
-    def _step_observation(
-        self, base: int, labels: LabelSet
-    ) -> tuple[int, int, int, int, int]:
-        return (base, *labels.bits())
+    def _observe(self, cursor: int) -> tuple[int, int, int, int, int]:
+        code = cursor & 15
+        return (code, *ALL_LABEL_SETS[code].bits())
 
 
 WRAPPER_CLASSES: dict[WrapperKind, type[GaitEnvWrapper]] = {

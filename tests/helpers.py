@@ -219,8 +219,9 @@ def check_equivalence_rollouts(
     rng: random.Random,
     stumble_free: bool = False,
 ) -> int:
-    """Random-policy rollouts (full episodes) comparing the two reward
-    streams element by element. Returns total steps compared."""
+    """Random-policy rollouts (full episodes) comparing, step by step,
+    the two reward streams, the episode flags, and the latch at pose A
+    exactly when the machine is in q1. Returns total steps compared."""
     cross, naive, _ = make_pair(gait)
     actions = NON_STUMBLE_ACTIONS if stumble_free else tuple(range(16))
     compared = 0
@@ -235,6 +236,8 @@ def check_equivalence_rollouts(
             compared += 1
             assert r_cross == r_naive, (gait, action, r_cross, r_naive)
             assert (term, trunc) == (term_n, trunc_n)
+            in_q1 = cross.rm_state.index == 1
+            assert in_q1 == (naive.latch is MilestoneLatch.POSE_A), (gait, naive.latch)
             done = term or trunc
     return compared
 

@@ -2,6 +2,7 @@
 contracts and determinism."""
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -9,6 +10,8 @@ import pytest
 
 from gaitrm import __version__, cli
 from gaitrm.cli import build_parser, load_policy, main
+from gaitrm.env import MAX_EPISODE_LENGTH
+from gaitrm.learn import MAX_EVAL_EPISODES
 from gaitrm.guards import LabelSet, Prop
 from gaitrm.machine import Gait, build_gait_rm, machine_to_document, transition_table
 from helpers import deepest_trot_document, nested_guard
@@ -327,6 +330,77 @@ class TestEval:
         )
         assert code == 2
         assert "key space" in err
+
+
+class TestInputBounds:
+    """Episode lengths, diagram horizons and evaluation episode counts
+    are bounded: a command runs at its bound, and one past it, or far
+    past it, exits 2 with a message before writing anything."""
+
+    RUN = ["--gait", "trot", "--wrapper", "naive"]
+
+    @staticmethod
+    def stumble_policy(tmp_path: Path) -> Path:
+        """A naive Q-table that lifts all four feet at reset, so every
+        episode stumbles and ends on its first step."""
+        policy = tmp_path / "stumble.csv"
+        header = "key," + ",".join(f"q{a}" for a in range(16))
+        policy.write_text(header + "\n0," + ",".join(["0.0"] * 15 + ["1.0"]) + "\n")
+        return policy
+
+    def test_commands_run_at_their_bounds(self, capsys, tmp_path):
+        code, stdout, _ = run(
+            capsys, "eval", *self.RUN, "--policy", "reference:trot",
+            "--episodes", str(MAX_EVAL_EPISODES), "--episode-length", "1",
+        )
+        assert code == 0
+        assert stdout.splitlines()[1].startswith(f"{MAX_EVAL_EPISODES},")
+        policy = self.stumble_policy(tmp_path)
+        code, _, _ = run(
+            capsys, "eval", *self.RUN, "--policy", str(policy),
+            "--episodes", "1", "--episode-length", str(MAX_EPISODE_LENGTH),
+        )
+        assert code == 0
+        out = tmp_path / "d.csv"
+        code, _, _ = run(
+            capsys, "diagram", *self.RUN, "--policy", str(policy),
+            "--steps", str(MAX_EPISODE_LENGTH), "--out", str(out),
+        )
+        assert code == 0
+        assert "# terminated early after step 1" in out.read_text()
+
+    @pytest.mark.parametrize("past", [1, 10**9])
+    @pytest.mark.parametrize("flag, bound, message", [
+        ("--episodes", MAX_EVAL_EPISODES, "episodes must be in"),
+        ("--episode-length", MAX_EPISODE_LENGTH, "episode_length must be in"),
+        ("--steps", MAX_EPISODE_LENGTH, "--steps must be in"),
+    ])
+    def test_past_a_bound_is_refused_before_any_output(
+        self, capsys, tmp_path, flag, bound, message, past
+    ):
+        value = bound + past
+        command = ["eval"]
+        if flag == "--steps":
+            command = ["diagram", "--out", str(tmp_path / "d.csv")]
+        code, stdout, err = run(
+            capsys, *command, *self.RUN, "--policy", "reference:trot", flag, str(value),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert f"{message} [1, {bound}], got {value}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, bounds", [
+        # --episode-length, then --episodes or --steps
+        ("eval", [MAX_EPISODE_LENGTH, MAX_EVAL_EPISODES]),
+        ("diagram", [MAX_EPISODE_LENGTH, MAX_EPISODE_LENGTH]),
+    ])
+    def test_help_states_the_bounds(self, capsys, command, bounds):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert [int(n) for n in re.findall(r"1 <= N <= (\d+)", out)] == bounds
 
 
 class TestDiagram:

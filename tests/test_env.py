@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import gaitrm.env as env_module
 from gaitrm.env import (
+    MAX_EPISODE_LENGTH,
     EpisodeFinishedError,
     InvalidConfigError,
     StepInfo,
@@ -53,6 +54,15 @@ class TestConfig:
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(InvalidConfigError):
             ToyEnvConfig(**kwargs)
+
+    def test_episode_length_is_bounded(self):
+        assert MAX_EPISODE_LENGTH == 100_000
+        config = ToyEnvConfig(episode_length=MAX_EPISODE_LENGTH)
+        assert config.episode_length == MAX_EPISODE_LENGTH
+        with pytest.raises(
+            InvalidConfigError, match=rf"\[1, 100000\], got {MAX_EPISODE_LENGTH + 1}"
+        ):
+            ToyEnvConfig(episode_length=MAX_EPISODE_LENGTH + 1)
 
     @pytest.mark.parametrize(
         "name", ["clearance", "lift_height", "stride_gain", "lift_power_cost"]

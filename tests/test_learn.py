@@ -16,6 +16,7 @@ from gaitrm.env import ToyEnvConfig, ToyQuadrupedEnv
 from gaitrm.guards import ALL_LABEL_SETS, LabelSet, Prop
 from gaitrm.machine import Gait, build_gait_rm, machine_from_document
 from gaitrm.learn import (
+    MAX_EVAL_EPISODES,
     NUM_ACTIONS,
     EvalMetrics,
     LearnerConfig,
@@ -745,6 +746,23 @@ class TestLearnerConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             LearnerConfig(**kwargs)
+
+    def test_eval_episodes_is_bounded(self):
+        assert MAX_EVAL_EPISODES == 10_000
+        config = LearnerConfig(eval_episodes=MAX_EVAL_EPISODES)
+        assert config.eval_episodes == MAX_EVAL_EPISODES
+        with pytest.raises(ValueError, match=rf"\[1, 10000\], got {MAX_EVAL_EPISODES + 1}"):
+            LearnerConfig(eval_episodes=MAX_EVAL_EPISODES + 1)
+
+    def test_evaluate_takes_at_most_the_bounded_episode_count(self):
+        wrapper = NaiveWrapper(
+            ToyQuadrupedEnv(ToyEnvConfig(episode_length=1)), build_gait_rm(Gait.TROT)
+        )
+        policy = ReferenceGaitPolicy(Gait.TROT)
+        metrics = evaluate(policy, wrapper, episodes=MAX_EVAL_EPISODES)
+        assert metrics.episodes == MAX_EVAL_EPISODES
+        with pytest.raises(ValueError, match=rf"\[1, 10000\], got {MAX_EVAL_EPISODES + 1}"):
+            evaluate(policy, wrapper, episodes=MAX_EVAL_EPISODES + 1)
 
     @pytest.mark.parametrize("kwargs", [
         {"total_steps": 1000.0},

@@ -6,6 +6,7 @@ and under which key the table is built."""
 
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
@@ -28,7 +29,9 @@ from gaitrm.wrappers import (
     GaitShapeError,
     MilestoneLatch,
     WrapperKind,
+    _latch_step,
     _product_table,
+    gait_shape,
     make_wrapper,
 )
 from helpers import oracle_reward_step
@@ -168,6 +171,47 @@ def test_every_step_matches_the_sources(kind, machine_name, config_name, params_
     if machine_name != "trot_accepting":
         gait_kind = "no_gait" if kind is WrapperKind.NO_GAIT else "gait"
         assert len(seen) == LIVE[config_name][gait_kind]
+
+
+@pytest.mark.parametrize("kind", list(WrapperKind), ids=lambda k: k.value)
+def test_reset_observes_as_the_entries_that_land_on_its_cursor(kind):
+    """Each kind's observation is a function of its cursor: ``reset``
+    returns what every table entry that lands on the reset cursor holds
+    (stack3: that frame three times)."""
+    for gait in Gait:
+        for config in CONFIGS.values():
+            wrapper = make_wrapper(kind, ToyQuadrupedEnv(config), MACHINES[gait.value])
+            obs = wrapper.reset()
+            landing = {repr(e[1]) for e in wrapper.table if e[0] == wrapper.cursor}
+            if kind is WrapperKind.STACK3:
+                assert obs == (obs[-1],) * 3
+                obs = obs[-1]
+            assert landing == {repr(obs)}, (gait, config)
+
+
+def test_no_reward_reads_a_foot_height():
+    """The table memo leaves out ``lift_height``, which sets only
+    ``StepInfo.foot_heights``. That is sound because no reward reads a
+    foot height: every reward spec of the built-in machines, and the
+    latch oracle on each, pay the same on every outcome whatever its
+    foot heights."""
+    machines = [MACHINES[gait.value] for gait in Gait]
+    specs = {repr(t.reward): t.reward for rm in machines for t in rm.transitions}
+    shapes = [gait_shape(rm) for rm in machines]
+    heights = ((0.0,) * 4, (0.7, 3, 0.0, 1e9))
+    for config in CONFIGS.values():
+        for info, airborne, _ in config.outcomes:
+            moved = [info._replace(foot_heights=h) for h in heights]
+            for params in PARAMS.values():
+                for spec in specs.values():
+                    want = repr(compute_reward(spec, info, params))
+                    for other in moved:
+                        assert repr(compute_reward(spec, other, params)) == want, (spec, info)
+                for shape, latch in itertools.product(shapes, MilestoneLatch):
+                    want = repr(_latch_step(shape, latch, airborne.code, info, params))
+                    for other in moved:
+                        got = _latch_step(shape, latch, airborne.code, other, params)
+                        assert repr(got) == want, (shape, latch, info)
 
 
 INT_CONFIG = CONFIGS["int_valued"]

@@ -178,7 +178,8 @@ def test_stack3_key_recurrence_equals_discretize_over_all_triples():
 def test_tables_are_shared_by_what_their_entries_read():
     """The table memo keys on the wrapper class, the machine, ``w_e`` and
     the config fields a step reads, and on nothing else. ``clearance`` is
-    not one: a step's labels are its outcome's airborne set."""
+    not one: a step's labels are its outcome's airborne set. Nor is
+    ``lift_height``: it sets only foot heights, which no entry reads."""
     rm = build_gait_rm(Gait.PACE)
 
     def wrapper(kind="naive", params=None, **fields):
@@ -195,6 +196,7 @@ def test_tables_are_shared_by_what_their_entries_read():
     assert naive is not table("stack3", episode_length=13)
     assert naive is not table(stumble_terminates=False)
     assert naive is table(clearance=0.04)
+    assert naive is table(lift_height=0.2)
     assert naive is not table(params=RewardParams(w_e=0.002))
     assert naive is not make_wrapper("naive", rm=build_gait_rm(Gait.TROT)).table
 

@@ -1,22 +1,25 @@
 """Tests for the cross-product wrapper, the baseline wrappers, and the
 milestone-latch reward oracle, including reward-stream equivalence."""
 
+import itertools
 import math
 import random
 
 import pytest
 
 from gaitrm.env import StepInfo, ToyEnvConfig, ToyQuadrupedEnv
-from gaitrm.guards import LabelSet, Prop
+from gaitrm.guards import LabelSet, Lit, Not, Prop
 from gaitrm.machine import (
     Gait,
     RewardMachine,
     RewardParams,
     RmState,
+    SwitchPoseBonus,
     Transition,
     Walk,
     build_gait_rm,
     compute_reward,
+    rm_step,
 )
 from gaitrm.wrappers import (
     AugmentedWrapper,
@@ -28,6 +31,7 @@ from gaitrm.wrappers import (
     NoGaitWrapper,
     Stack3Wrapper,
     WrapperKind,
+    _latch_step,
     base_pattern,
     gait_shape,
     make_wrapper,
@@ -176,6 +180,46 @@ class TestOracle:
         cross.reset()
         _, _, terminated, _, info = cross.step(gait.pose_a.code)
         assert terminated is True and info.terminated is False
+
+    def test_latch_step_is_the_machine_step_in_all_eight_cases(self):
+        """A latch step reads the latch and two bits of the label: ``a``,
+        whether pose A's guard holds on it, and ``b``, pose B's. So the
+        latch agrees with every two-state machine ``gait_shape`` accepts
+        iff it agrees on the 8 cases (latch, a, b). Each (a, b) gets a
+        machine whose pose guards give label code 9 that membership and
+        whose four edges carry four reward specs; each case must take
+        the machine's edge, pay its reward, and latch pose A exactly
+        when the machine is in q1, on every outcome of two configs."""
+        labels = LabelSet.of(Prop.FL, Prop.BR)
+        params = RewardParams()
+        infos = {
+            repr(info): info
+            for config in (ToyEnvConfig(), ToyEnvConfig(stumble_terminates=False))
+            for info, _, _ in config.outcomes
+        }.values()
+        q0, q1 = RmState(0, "q0"), RmState(1, "q1")
+        latched = {q0: MilestoneLatch.NONE, q1: MilestoneLatch.POSE_A}
+        for a, b in itertools.product((0, 1), repeat=2):
+            pose_a = Lit(Prop.FL) if a else Not(Lit(Prop.FL))
+            pose_b = Lit(Prop.BR) if b else Not(Lit(Prop.BR))
+            rm = RewardMachine((q0, q1), q0, frozenset(), (
+                Transition(q0, pose_a, q1, SwitchPoseBonus(3.0)),
+                Transition(q0, Not(pose_a), q0, Walk()),
+                Transition(q1, pose_b, q0, SwitchPoseBonus(5.0)),
+                Transition(q1, Not(pose_b), q1, SwitchPoseBonus(7.0)),
+            ))
+            shape = gait_shape(rm)
+            assert (shape.mask_a >> labels.code & 1, shape.mask_b >> labels.code & 1) == (a, b)
+            edges = {(t.src, t.dst): t.reward for t in rm.transitions}
+            for state, latch in latched.items():
+                dst, spec = rm_step(rm, state, labels)
+                for info in infos:
+                    reward, next_latch = _latch_step(shape, latch, labels.code, info, params)
+                    case = (latch, a, b, info)
+                    latch_dst = q1 if next_latch is MilestoneLatch.POSE_A else q0
+                    assert edges[(state, latch_dst)] == spec, case
+                    assert repr(reward) == repr(compute_reward(spec, info, params)), case
+                    assert next_latch is latched[dst], case
 
     @pytest.mark.parametrize("gait", list(Gait))
     def test_gait_shape_masks(self, gait):
